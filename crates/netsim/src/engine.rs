@@ -10,7 +10,7 @@
 //! means adding an impl here — the experiment layer never changes.
 
 use crate::config::EngineKind;
-use crate::experiment::{Experiment, Topology};
+use crate::experiment::{ConfigError, Experiment};
 use crate::world::RunResults;
 
 /// One simulation engine: its capabilities and its run entry point.
@@ -53,12 +53,7 @@ impl Engine for PacketEngine {
         true
     }
     fn run(&self, e: Experiment, end_nanos: u64) -> RunResults {
-        let num_switches = match e.topology {
-            Topology::Dumbbell { .. } => 1,
-            Topology::LeafSpine { leaves, spines, .. } => leaves + spines,
-            Topology::FatTree { k } => 5 * k * k / 4,
-        };
-        let threads = e.sim_threads.min(num_switches);
+        let threads = e.sim_threads.min(e.topology.num_switches());
         if threads > 1 {
             return crate::parallel::run_sharded(&e, threads, end_nanos);
         }
@@ -116,32 +111,40 @@ fn engine_for(kind: EngineKind) -> &'static dyn Engine {
     }
 }
 
-/// Validates `e` against its engine's capabilities and runs it.
-///
-/// # Panics
-///
-/// Panics when the experiment asks for a capability its engine does not
-/// implement (fault schedules or shared buffer policies on a flow-level
-/// engine).
-pub(crate) fn run(e: Experiment, end_nanos: u64) -> RunResults {
+/// Checks `e` against its engine's capabilities: fault schedules and
+/// shared buffer policies need an engine that models them.
+pub(crate) fn check_capabilities(e: &Experiment) -> Result<(), ConfigError> {
     let engine = engine_for(e.engine);
-    if !engine.supports_faults() {
-        assert!(
-            e.faults.is_none(),
+    if !engine.supports_faults() && e.faults.is_some() {
+        return Err(ConfigError::new(format!(
             "the {} engine does not support fault schedules (packet only)",
             engine.kind().name()
-        );
+        )));
     }
-    if !engine.supports_shared_buffers() {
-        assert!(
-            !e.switch_cfg.buffer.is_shared(),
+    if !engine.supports_shared_buffers() && e.switch_cfg.buffer.is_shared() {
+        return Err(ConfigError::new(format!(
             "the {} engine supports only the 'static' buffer policy, \
              got '{}' (accepted: static|dt:ALPHA|delay[:MICROS] on the packet and \
              regional engines, static only on fluid/hybrid)",
             engine.kind().name(),
             e.switch_cfg.buffer.name()
-        );
+        )));
     }
+    Ok(())
+}
+
+/// Validates `e` ([`Experiment::validate`]) and runs it on its engine.
+///
+/// # Panics
+///
+/// Panics with the validation error when the experiment cannot run as
+/// configured (a capability its engine does not implement, or a region
+/// port outside the topology).
+pub(crate) fn run(e: Experiment, end_nanos: u64) -> RunResults {
+    if let Err(err) = e.validate() {
+        panic!("{err}");
+    }
+    let engine = engine_for(e.engine);
     if !engine.uses_sim_threads() && e.sim_threads > 1 {
         eprintln!(
             "note: --sim-threads {} ignored: the {} engine is single-threaded by design \

@@ -10,7 +10,7 @@ pub use crate::config::{
 };
 pub use crate::partition::PartitionStrategy;
 pub use crate::trace::TraceConfig;
-pub use crate::world::{FlowDesc, RunResults, StreamStats};
+pub use crate::world::{EnginePath, FlowDesc, RunResults, StreamStats};
 pub use pmsb_faults::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};
 
 /// What a finished experiment returns; see [`RunResults`] for the fields.
@@ -30,6 +30,56 @@ pub(crate) enum Topology {
     /// Three-tier fat-tree with parameter `k` (`k³/4` hosts).
     FatTree { k: usize },
 }
+
+impl Topology {
+    /// Switches in the fabric.
+    pub(crate) fn num_switches(&self) -> usize {
+        match *self {
+            Topology::Dumbbell { .. } => 1,
+            Topology::LeafSpine { leaves, spines, .. } => leaves + spines,
+            Topology::FatTree { k } => 5 * k * k / 4,
+        }
+    }
+
+    /// Ports on `switch` (which must be below [`Topology::num_switches`]),
+    /// following the index layouts of the [`crate::topology`] builders.
+    fn num_ports(&self, switch: usize) -> usize {
+        match *self {
+            Topology::Dumbbell { num_senders } => num_senders + 1,
+            Topology::LeafSpine {
+                leaves,
+                spines,
+                hosts_per_leaf,
+            } => {
+                if switch < leaves {
+                    hosts_per_leaf + spines
+                } else {
+                    leaves
+                }
+            }
+            Topology::FatTree { k } => k,
+        }
+    }
+}
+
+/// Why an [`Experiment`] cannot run as configured; the message names
+/// the accepted values. See [`Experiment::validate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError(String);
+
+impl ConfigError {
+    pub(crate) fn new(message: String) -> Self {
+        ConfigError(message)
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// A streaming workload attached to an experiment (see
 /// [`Experiment::stream`]).
@@ -392,9 +442,43 @@ impl Experiment {
         self.flows.extend(flows);
     }
 
+    /// Checks, without running anything, that the configured engine
+    /// supports what the experiment asks of it (fault schedules, shared
+    /// buffer policies) and that every explicit region port exists in the
+    /// topology. [`Experiment::run_until_nanos`] panics with the same
+    /// error; callers that take configuration from users should call
+    /// this first.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        crate::engine::check_capabilities(self)?;
+        if let (EngineKind::Regional, RegionSpec::Ports(ports)) = (self.engine, &self.region) {
+            let switches = self.topology.num_switches();
+            for &(s, p) in ports {
+                if s >= switches {
+                    return Err(ConfigError::new(format!(
+                        "region port {s}:{p} names switch {s}, but the topology has \
+                         {switches} switches (accepted: SWITCH:PORT with SWITCH in 0..{switches})"
+                    )));
+                }
+                let num_ports = self.topology.num_ports(s);
+                if p >= num_ports {
+                    return Err(ConfigError::new(format!(
+                        "region port {s}:{p} names port {p}, but switch {s} has {num_ports} \
+                         ports (accepted: {s}:PORT with PORT in 0..{num_ports})"
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Builds the world and runs until `end_nanos` on the configured
     /// engine (the dispatch itself lives behind the [`crate::engine`]
     /// seam).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`Experiment::validate`] error when the
+    /// experiment cannot run as configured.
     pub fn run_until_nanos(mut self, end_nanos: u64) -> ExperimentResult {
         self.host_cfg.nic_marking = self
             .host_nic_marking
@@ -522,6 +606,66 @@ mod tests {
         e.add_flow(FlowDesc::bulk(0, 2, 0, 300_000));
         let res = e.run_for_millis(20);
         assert_eq!(res.fct.len(), 1);
+    }
+
+    #[test]
+    fn topology_port_counts_match_the_built_worlds() {
+        for e in [
+            Experiment::dumbbell(3, 2),
+            Experiment::leaf_spine(3, 2, 5),
+            Experiment::fat_tree(4),
+        ] {
+            let w = e.build_world();
+            assert_eq!(e.topology.num_switches(), w.num_switches());
+            for s in 0..w.num_switches() {
+                assert_eq!(e.topology.num_ports(s), w.num_ports(s), "switch {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn validate_names_what_the_engine_cannot_run() {
+        let shared = crate::buffer::BufferPolicy::DynamicThreshold { alpha: 1.0 };
+        let err = Experiment::fat_tree(4)
+            .engine(EngineKind::Fluid)
+            .buffer(shared)
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("static|dt:ALPHA|delay[:MICROS]"));
+        assert!(Experiment::fat_tree(4).buffer(shared).validate().is_ok());
+
+        let regional = |ports| {
+            Experiment::fat_tree(4)
+                .engine(EngineKind::Regional)
+                .region(RegionSpec::Ports(ports))
+                .validate()
+        };
+        let err = regional(vec![(999, 0)]).unwrap_err().to_string();
+        assert!(
+            err.contains("has 20 switches") && err.contains("0..20"),
+            "{err}"
+        );
+        let err = regional(vec![(3, 4)]).unwrap_err().to_string();
+        assert!(
+            err.contains("switch 3 has 4 ports") && err.contains("0..4"),
+            "{err}"
+        );
+        assert!(regional(vec![(19, 3)]).is_ok());
+        // Region ports mean nothing to the other engines.
+        assert!(Experiment::fat_tree(4)
+            .region(RegionSpec::Ports(vec![(999, 0)]))
+            .validate()
+            .is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "has 20 switches")]
+    fn running_an_invalid_experiment_panics_with_the_validation_error() {
+        let mut e = Experiment::fat_tree(4)
+            .engine(EngineKind::Regional)
+            .region(RegionSpec::Ports(vec![(999, 0)]));
+        e.add_flow(FlowDesc::bulk(0, 5, 0, 10_000));
+        let _ = e.run_for_millis(1);
     }
 
     #[test]

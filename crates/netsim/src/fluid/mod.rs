@@ -52,7 +52,7 @@ use crate::config::{EngineKind, MarkingConfig, RegionSpec, SchedulerConfig, Tran
 use crate::experiment::Experiment;
 use crate::packet::{ACK_WIRE_BYTES, MTU_WIRE_BYTES};
 use crate::transport::SenderStats;
-use crate::world::{FlowDesc, NodeRef, RunResults, StreamStats, World};
+use crate::world::{EnginePath, FlowDesc, NodeRef, RunResults, StreamStats, World};
 
 use microsim::{MicroCache, MicroStream, RATE_BUCKETS};
 use onset::OnsetCache;
@@ -856,6 +856,13 @@ fn run_pass(
         // Fluid/hybrid runs reject shared buffer policies up front; on a
         // regional run the hot-port pools report their contention.
         shared_buffer,
+        engine_path: if hot.is_some() {
+            EnginePath::Regional
+        } else if e.engine == EngineKind::Hybrid {
+            EnginePath::Hybrid
+        } else {
+            EnginePath::Fluid
+        },
     }
 }
 

@@ -57,7 +57,7 @@ pub use config::{
     EngineKind, HostConfig, MarkingConfig, RegionSpec, SchedulerConfig, SwitchConfig,
     TransportConfig,
 };
-pub use experiment::{Experiment, ExperimentResult, FlowDesc};
+pub use experiment::{ConfigError, Experiment, ExperimentResult, FlowDesc};
 pub use packet::{Packet, PacketKind};
 pub use partition::PartitionStrategy;
-pub use world::{Event, StreamStats, World};
+pub use world::{EnginePath, Event, StreamStats, World};

@@ -12,7 +12,10 @@
 //! deterministic `(time, src_lp, emission order)` merge at each
 //! destination makes the event schedule — and therefore every record —
 //! byte-identical to the sequential run for any thread count and any
-//! partition.
+//! partition, except where two same-instant events carry tie keys the
+//! LPs cannot order. Such an *ambiguous tie* stops the sharded attempt
+//! at the next window barrier, and the cell reruns sequentially;
+//! [`RunResults::engine_path`] says which of the two happened.
 
 use pmsb_metrics::fct::{FctRecorder, FlowRecord};
 use pmsb_simcore::{
@@ -22,7 +25,7 @@ use pmsb_simcore::{
 
 use crate::experiment::Experiment;
 use crate::partition::{contiguous_partition, traffic_partition, PartitionStrategy};
-use crate::world::{Event, RunResults, World};
+use crate::world::{EnginePath, Event, RunResults, World};
 
 /// One logical process: a full [`World`] copy that simulates only its
 /// own partition, with its private FEL.
@@ -55,24 +58,34 @@ impl LogicalProcess for ShardLp {
     fn receive(&mut self, at: SimTime, src: u32, (key, event): (TieKey, Event)) {
         self.sim.queue.push_ordered(at, key, src, event);
     }
+
+    /// The tie-key window resolves cross-LP message order wherever the
+    /// causal chains differ within it, but two chains in lockstep (e.g.
+    /// ports serializing identical packets at the same instants) can
+    /// collide through any bounded window. Every such collision is
+    /// counted at pop time, and the first one dooms the attempt.
+    fn diverged(&self) -> bool {
+        self.sim.queue.ambiguous_ties() > 0
+    }
 }
 
-/// Runs `exp` to `end_nanos` on `k` logical processes. Falls back to the
+/// Runs `exp` to `end_nanos` on `k` logical processes. Takes the
 /// sequential path when the partition cuts a zero-delay link (no safe
-/// lookahead window exists across it).
+/// lookahead window exists across it), and reruns sequentially when the
+/// sharded attempt meets an ambiguous tie.
 pub(crate) fn run_sharded(exp: &Experiment, k: usize, end_nanos: u64) -> RunResults {
-    let mut worlds: Vec<World> = (0..k).map(|_| exp.build_world()).collect();
+    let first = exp.build_world();
     let owner = match exp.partition {
-        PartitionStrategy::Contiguous => contiguous_partition(worlds[0].num_switches(), k),
-        PartitionStrategy::Traffic => traffic_partition(&worlds[0], exp, k),
+        PartitionStrategy::Contiguous => contiguous_partition(first.num_switches(), k),
+        PartitionStrategy::Traffic => traffic_partition(&first, exp, k),
     };
-    let direct = worlds[0].lp_delay_matrix(&owner, k);
+    let direct = first.lp_delay_matrix(&owner, k);
     if direct.contains(&0) {
-        return worlds.swap_remove(0).run_until_nanos(end_nanos);
+        return first.run_until_nanos(end_nanos);
     }
     let lookahead = LookaheadMatrix::from_direct(k, direct);
-    let mut lps: Vec<ShardLp> = worlds
-        .into_iter()
+    let mut lps: Vec<ShardLp> = std::iter::once(first)
+        .chain((1..k).map(|_| exp.build_world()))
         .enumerate()
         .map(|(lp, mut w)| {
             w.set_shard(lp, owner.clone());
@@ -81,17 +94,22 @@ pub(crate) fn run_sharded(exp: &Experiment, k: usize, end_nanos: u64) -> RunResu
             }
         })
         .collect();
-    run_conservative_matrix(&mut lps, &lookahead, SimTime::from_nanos(end_nanos));
-    // The tie-key window resolves cross-LP message order wherever the
-    // causal chains differ within it, but two chains in lockstep (e.g.
-    // ports serializing identical packets at the same instants) can
-    // collide through any bounded window. Every such collision is
-    // counted at pop time; zero collisions proves the schedule matched
-    // the sequential run, so a non-zero count discards the sharded
-    // results and reruns sequentially — correctness over speed.
+    let profile = run_conservative_matrix(&mut lps, &lookahead, SimTime::from_nanos(end_nanos));
+    // Zero ambiguous ties proves the schedule matched the sequential
+    // run. Any other count means the attempt stopped early, so its
+    // results are discarded and the cell reruns sequentially —
+    // correctness over speed. The LP worlds go first, so the rerun never
+    // shares memory with them.
     let ambiguous: u64 = lps.iter().map(|lp| lp.sim.queue.ambiguous_ties()).sum();
     if ambiguous > 0 {
-        return exp.build_world().run_until_nanos(end_nanos);
+        drop(lps);
+        let mut res = exp.build_world().run_until_nanos(end_nanos);
+        res.engine_path = EnginePath::ShardedFallback {
+            lps: k,
+            window: profile.windows,
+            ambiguous_ties: ambiguous,
+        };
+        return res;
     }
     let parts = lps
         .into_iter()
@@ -103,7 +121,9 @@ pub(crate) fn run_sharded(exp: &Experiment, k: usize, end_nanos: u64) -> RunResu
             lp.sim.handler.harvest(end_nanos, events)
         })
         .collect();
-    merge(parts)
+    let mut res = merge(parts);
+    res.engine_path = EnginePath::PacketSharded { lps: k };
+    res
 }
 
 /// Folds per-LP results into the sequential run's shape. Ownership is

@@ -28,7 +28,7 @@ mod switch;
 mod types;
 
 pub use events::Event;
-pub use types::{FlowDesc, NodeRef, RunResults, StreamStats};
+pub use types::{EnginePath, FlowDesc, NodeRef, RunResults, StreamStats};
 
 pub(crate) use types::add_sender_stats;
 
@@ -666,21 +666,27 @@ impl World {
         }
         // Pre-size the hot-path storage: the FEL for the in-flight event
         // population (a generous per-flow share plus trace/timer headroom)
-        // and every port's ring buffers for a congested queue's worth of
-        // packets, so the steady state never grows a buffer. Streaming
-        // runs hold one arrival plus the concurrent flows' events — a
-        // flat reserve, independent of the total flow count.
+        // and every owned port's ring buffers for a congested queue's
+        // worth of packets, so the steady state never grows a buffer. A
+        // shard never touches the nodes it does not own, so it reserves
+        // nothing for them. Streaming runs hold one arrival plus the
+        // concurrent flows' events — a flat reserve, independent of the
+        // total flow count.
         let queue_capacity = if self.stream.is_some() {
             4096
         } else {
             256 + 16 * self.flows.len()
         };
-        for h in &mut self.hosts {
-            h.nic.reserve(64);
+        for h in 0..self.hosts.len() {
+            if self.owns_host(h) {
+                self.hosts[h].nic.reserve(64);
+            }
         }
-        for sw in &mut self.switches {
-            for p in &mut sw.ports {
-                p.mq.reserve(64);
+        for s in 0..self.switches.len() {
+            if self.owns_switch(s) {
+                for p in &mut self.switches[s].ports {
+                    p.mq.reserve(64);
+                }
             }
         }
         let mut sim = Simulation::new(self);
@@ -805,6 +811,7 @@ impl World {
             faults: self.faults.map(|rt| rt.report),
             stream,
             shared_buffer,
+            engine_path: EnginePath::PacketSequential,
         }
     }
 }

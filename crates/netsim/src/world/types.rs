@@ -182,6 +182,63 @@ pub(crate) fn add_sender_stats(agg: &mut SenderStats, s: &SenderStats) {
     agg.recovery_nanos += s.recovery_nanos;
 }
 
+/// Which execution path produced a [`RunResults`]. Unlike every other
+/// field, it can differ across `sim_threads` values for the same cell,
+/// so it stays out of campaign records and run fingerprints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EnginePath {
+    /// The packet engine's sequential event loop.
+    PacketSequential,
+    /// The packet engine sharded end to end over `lps` logical
+    /// processes (DESIGN.md §8).
+    PacketSharded {
+        /// Logical processes (worker threads) the run used.
+        lps: usize,
+    },
+    /// A sharded packet run that met a same-instant tie its LPs could
+    /// not order, stopped, and was rerun sequentially.
+    ShardedFallback {
+        /// Logical processes the discarded attempt used.
+        lps: usize,
+        /// The conservative window the attempt stopped in.
+        window: u64,
+        /// Ambiguous ties the LPs counted before stopping.
+        ambiguous_ties: u64,
+    },
+    /// The flow-level fluid engine.
+    Fluid,
+    /// The fluid engine with per-port packet micro-simulations.
+    Hybrid,
+    /// The fluid engine with a non-empty packet region. A regional run
+    /// whose hot set comes out empty is the fluid engine byte for byte
+    /// and reports [`EnginePath::Fluid`].
+    Regional,
+}
+
+impl std::fmt::Display for EnginePath {
+    /// Comma-separated, the form `pmsb-sim` prints after `engine_path,`:
+    /// `packet-sequential`, `packet-sharded,lps=N`,
+    /// `sharded-fallback,lps=N,window=W,ambiguous_ties=T`, `fluid`,
+    /// `hybrid` or `regional`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EnginePath::PacketSequential => write!(f, "packet-sequential"),
+            EnginePath::PacketSharded { lps } => write!(f, "packet-sharded,lps={lps}"),
+            EnginePath::ShardedFallback {
+                lps,
+                window,
+                ambiguous_ties,
+            } => write!(
+                f,
+                "sharded-fallback,lps={lps},window={window},ambiguous_ties={ambiguous_ties}"
+            ),
+            EnginePath::Fluid => write!(f, "fluid"),
+            EnginePath::Hybrid => write!(f, "hybrid"),
+            EnginePath::Regional => write!(f, "regional"),
+        }
+    }
+}
+
 /// Results harvested from a finished run.
 #[derive(Debug)]
 pub struct RunResults {
@@ -217,4 +274,6 @@ pub struct RunResults {
     /// [`crate::buffer::BufferPolicy::Static`] (no pools in play). Pool
     /// rejections are already included in `drops`.
     pub shared_buffer: Option<pmsb_metrics::contention::ContentionSummary>,
+    /// The execution path that produced these results.
+    pub engine_path: EnginePath,
 }

@@ -2,10 +2,13 @@
 //! `sim_threads(n)` must reproduce the sequential run byte-for-byte —
 //! every record, counter, trace, and fault interaction — for any `n`,
 //! under either partition strategy, across all marking schemes and with
-//! fault schedules attached.
+//! fault schedules attached. Most of these runs meet an ambiguous tie and
+//! rerun sequentially, so the suite also pins which path ran: at least
+//! one case must shard end to end, and a fallback must stop early.
 
 use pmsb_netsim::experiment::{
-    Experiment, FaultSchedule, FlowDesc, MarkingConfig, PartitionStrategy, RunResults, TraceConfig,
+    EnginePath, Experiment, FaultSchedule, FlowDesc, MarkingConfig, PartitionStrategy, RunResults,
+    TraceConfig,
 };
 use pmsb_workload::{PatternSpec, SizeDistSpec};
 
@@ -13,7 +16,8 @@ const PARTITIONS: [PartitionStrategy; 2] =
     [PartitionStrategy::Contiguous, PartitionStrategy::Traffic];
 
 /// Canonical text form of everything a run observes; byte equality here
-/// is the parallel-vs-sequential gate.
+/// is the parallel-vs-sequential gate. `engine_path` is left out: it is
+/// the one field that names how the run was executed.
 fn fingerprint(res: &RunResults) -> String {
     let mut out = String::new();
     for r in res.fct.records() {
@@ -73,16 +77,22 @@ fn small_fabric(marking: MarkingConfig) -> Experiment {
     e
 }
 
-fn assert_threads_match(mk: impl Fn() -> Experiment, millis: u64) {
-    let sequential = fingerprint(&mk().run_for_millis(millis));
+/// Runs `mk` sequentially and at 2 and 4 threads under both partition
+/// strategies, asserts every sharded fingerprint equals the sequential
+/// one, and returns the path each sharded run took.
+fn assert_threads_match(mk: impl Fn() -> Experiment, millis: u64) -> Vec<EnginePath> {
+    let seq = mk().run_for_millis(millis);
+    assert_eq!(seq.engine_path, EnginePath::PacketSequential);
+    let sequential = fingerprint(&seq);
+    let mut paths = Vec::new();
     for partition in PARTITIONS {
         for threads in [2, 4] {
-            let parallel = fingerprint(
-                &mk()
-                    .sim_threads(threads)
-                    .partition(partition)
-                    .run_for_millis(millis),
-            );
+            let res = mk()
+                .sim_threads(threads)
+                .partition(partition)
+                .run_for_millis(millis);
+            paths.push(res.engine_path);
+            let parallel = fingerprint(&res);
             if sequential != parallel {
                 for (a, b) in sequential.lines().zip(parallel.lines()) {
                     if a != b {
@@ -99,6 +109,7 @@ fn assert_threads_match(mk: impl Fn() -> Experiment, millis: u64) {
             }
         }
     }
+    paths
 }
 
 #[test]
@@ -122,9 +133,18 @@ fn all_marking_schemes_match_sequential() {
             max_p: 0.8,
         },
     ];
+    let mut paths = Vec::new();
     for marking in schemes {
-        assert_threads_match(|| small_fabric(marking.clone()), 15);
+        paths.extend(assert_threads_match(|| small_fabric(marking.clone()), 15));
     }
+    // Byte-identity must be checked against at least one run that really
+    // sharded, not only against sequential fallbacks.
+    assert!(
+        paths
+            .iter()
+            .any(|p| matches!(p, EnginePath::PacketSharded { .. })),
+        "no run sharded end to end: {paths:?}"
+    );
 }
 
 #[test]
@@ -250,7 +270,13 @@ fn fat_tree_streaming_matches_sequential() {
             )
             .stream_record_exact()
     };
-    assert_threads_match(mk, 15);
+    for path in assert_threads_match(mk, 15) {
+        // A doomed attempt stops at its first ambiguous tie instead of
+        // running to the horizon and being thrown away.
+        if let EnginePath::ShardedFallback { window, .. } = path {
+            assert!(window <= 16, "fallback ran {window} windows: {path}");
+        }
+    }
 }
 
 /// A dumbbell has one switch: any thread count collapses to the
@@ -266,5 +292,6 @@ fn dumbbell_collapses_to_sequential() {
         e.add_flow(FlowDesc::bulk(2, 3, 2, 500_000));
         e
     };
-    assert_threads_match(mk, 10);
+    let paths = assert_threads_match(mk, 10);
+    assert!(paths.iter().all(|p| *p == EnginePath::PacketSequential));
 }

@@ -27,10 +27,13 @@ use crate::{EventHandler, SimTime};
 /// differ anywhere in the last sixteen hops order exactly as a
 /// sequential run would; chains in lockstep for longer than that
 /// collide, which [`EventQueue::ambiguous_ties`] detects so sharded
-/// runs can fall back rather than diverge. Sixteen is empirically deep
-/// enough that the committed campaigns shard without a single
-/// collision; deeper keys buy rarer fallbacks at a memory-bandwidth
-/// cost on every scheduled event.
+/// runs can fall back rather than diverge. Sixteen is not deep enough
+/// for datacenter fabrics, whose equal MTUs on equal link rates keep
+/// chains in lockstep indefinitely: a fat_tree(8) mix meets its first
+/// ambiguous tie in window 5, the 48-host leaf–spine within a few
+/// hundred windows, and 50 of the 52 sharded runs in the netsim
+/// differential suite fall back. Deeper keys only postpone the
+/// collision, at a memory-bandwidth cost on every scheduled event.
 pub(crate) const KEY_DEPTH: usize = 16;
 
 /// An opaque FEL tie-breaking key: the instant an event was pushed plus

@@ -27,7 +27,10 @@
 //! 4. swap the per-(src,dst) message lanes at the barrier and let each
 //!    destination merge its incoming messages in deterministic
 //!    `(time, source LP, emission order)` order,
-//! 5. repeat until no events or messages remain (or a deadline passes).
+//! 5. repeat until no events or messages remain, a deadline passes, or
+//!    an LP reports that it has left the sequential schedule
+//!    ([`LogicalProcess::diverged`]) — a run whose results will be
+//!    discarded stops at the first barrier after the divergence.
 //!
 //! Per-LP horizons replace the older single global window
 //! (`global_min + min_delay` for everyone): an LP two hops away in the
@@ -97,6 +100,15 @@ pub trait LogicalProcess: Send {
     /// `src` is the sending LP's index (e.g. for use as a
     /// `push_ordered` stream id).
     fn receive(&mut self, at: SimTime, src: u32, payload: Self::Message);
+
+    /// Whether this LP has stopped matching the sequential schedule (for
+    /// example, it met a same-instant tie it cannot order), so its caller
+    /// will discard the run. Checked by the LP's worker after every
+    /// `run_window`; once any LP answers `true`, the run ends at the next
+    /// barrier and [`LpRunProfile::diverged`] is set. Default: never.
+    fn diverged(&self) -> bool {
+        false
+    }
 }
 
 /// Pairwise minimum influence delays between LPs: `get(j, i)` bounds how
@@ -273,8 +285,8 @@ impl WindowBarrier {
 /// Sentinel for "no pending event" in the published-time atomics.
 const IDLE: u64 = u64::MAX;
 
-/// Wall-clock profile of the last conservative run on this process:
-/// window count, cross-LP messages delivered, the coordinator's
+/// Wall-clock profile of one conservative run: window count, cross-LP
+/// messages delivered, whether an LP diverged, the coordinator's
 /// cumulative barrier-wait time, the run's total wall clock, and the
 /// per-LP split of worker time into busy (message merge + window
 /// execution) and blocked (barrier waits). Counters are accumulated in
@@ -300,6 +312,10 @@ pub struct LpRunProfile {
     pub per_lp_blocked_nanos: Vec<u64>,
     /// Per-LP count of cross-LP messages received.
     pub per_lp_messages: Vec<u64>,
+    /// Whether an LP reported [`LogicalProcess::diverged`]; the run then
+    /// stopped at the barrier after that window, so `windows` is the
+    /// window it stopped in.
+    pub diverged: bool,
 }
 
 impl LpRunProfile {
@@ -357,12 +373,14 @@ static PROFILE: Mutex<LpRunProfile> = Mutex::new(LpRunProfile {
     per_lp_busy_nanos: Vec::new(),
     per_lp_blocked_nanos: Vec::new(),
     per_lp_messages: Vec::new(),
+    diverged: false,
 });
 
 /// The profile of the most recent [`run_conservative`] /
 /// [`run_conservative_matrix`] call. Process-wide and overwritten by
 /// every run (concurrent runs interleave), so read it immediately after
-/// the run of interest.
+/// the run of interest; callers that own the run should use the profile
+/// it returns instead.
 pub fn last_run_profile() -> LpRunProfile {
     PROFILE.lock().expect("profile lock").clone()
 }
@@ -406,19 +424,22 @@ pub fn run_conservative<L: LogicalProcess>(
     lps: &mut [L],
     lookahead: SimDuration,
     deadline: SimTime,
-) {
+) -> LpRunProfile {
     assert!(
         lookahead.as_nanos() > 0,
         "conservative windows need a positive lookahead"
     );
     let matrix = LookaheadMatrix::uniform(lps.len(), lookahead);
-    run_conservative_matrix(lps, &matrix, deadline);
+    run_conservative_matrix(lps, &matrix, deadline)
 }
 
 /// Runs `lps` to completion (or until every pending event lies past
-/// `deadline`) under the neighbor-lookahead conservative protocol, one
-/// worker thread per LP plus the calling thread as coordinator. Threads
-/// are spawned once and live for the whole run (`std::thread::scope`).
+/// `deadline`, or until an LP reports [`LogicalProcess::diverged`])
+/// under the neighbor-lookahead conservative protocol, one worker
+/// thread per LP plus the calling thread as coordinator. Threads are
+/// spawned once and live for the whole run (`std::thread::scope`).
+/// Returns the run's profile, which is also published to
+/// [`last_run_profile`].
 ///
 /// Every off-diagonal `lookahead` entry must be positive or
 /// [`LookaheadMatrix::NEVER`]: a zero entry would make its destination's
@@ -431,11 +452,11 @@ pub fn run_conservative_matrix<L: LogicalProcess>(
     lps: &mut [L],
     lookahead: &LookaheadMatrix,
     deadline: SimTime,
-) {
+) -> LpRunProfile {
     let k = lps.len();
     assert_eq!(lookahead.len(), k, "lookahead matrix must cover every LP");
     if k == 0 {
-        return;
+        return LpRunProfile::default();
     }
     for s in 0..k {
         for t in 0..k {
@@ -459,6 +480,9 @@ pub fn run_conservative_matrix<L: LogicalProcess>(
         })
         .collect();
     let stats: Vec<WorkerStats> = (0..k).map(|_| WorkerStats::default()).collect();
+    // Raised by any worker whose LP diverged; read by the coordinator
+    // after the window's closing barrier.
+    let diverged = AtomicBool::new(false);
     // Participants: k workers + the coordinator.
     let barrier = WindowBarrier::new(k + 1);
     // Coordinator-side profile counters (wall clock only; published to
@@ -478,6 +502,7 @@ pub fn run_conservative_matrix<L: LogicalProcess>(
             let horizons = &horizons;
             let lanes = &lanes;
             let stats = &stats;
+            let diverged = &diverged;
             let barrier = &barrier;
             scope.spawn(move || {
                 let mut outbox: Vec<LpMessage<L::Message>> = Vec::new();
@@ -538,6 +563,9 @@ pub fn run_conservative_matrix<L: LogicalProcess>(
                         lp.next_time().map_or(IDLE, SimTime::as_nanos),
                         Ordering::Release,
                     );
+                    if lp.diverged() {
+                        diverged.store(true, Ordering::Release);
+                    }
                     busy += started.elapsed().as_nanos() as u64;
                     // (2) Window complete; hand control to the coordinator.
                     let parked = std::time::Instant::now();
@@ -576,7 +604,7 @@ pub fn run_conservative_matrix<L: LogicalProcess>(
                 }
             }
             let global_min = eff.iter().copied().min().unwrap_or(IDLE);
-            if global_min == IDLE || global_min > deadline_ns {
+            if global_min == IDLE || global_min > deadline_ns || diverged.load(Ordering::Acquire) {
                 for h in &horizons {
                     h.store(IDLE, Ordering::Release);
                 }
@@ -629,8 +657,10 @@ pub fn run_conservative_matrix<L: LogicalProcess>(
             .iter()
             .map(|s| s.messages.load(Ordering::Acquire))
             .collect(),
+        diverged: diverged.load(Ordering::Acquire),
     };
-    *PROFILE.lock().expect("profile lock") = profile;
+    *PROFILE.lock().expect("profile lock") = profile.clone();
+    profile
 }
 
 #[cfg(test)]
@@ -648,6 +678,9 @@ mod tests {
         delay: SimDuration,
         fel: EventQueue<u64>,
         log: Vec<(u64, u64)>,
+        /// Report divergence once a token at or below this value has
+        /// been processed here (`None` = never diverge).
+        diverge_at_token: Option<u64>,
     }
 
     impl LogicalProcess for RingLp {
@@ -678,6 +711,11 @@ mod tests {
         fn receive(&mut self, at: SimTime, _src: u32, payload: u64) {
             self.fel.push(at, payload);
         }
+
+        fn diverged(&self) -> bool {
+            self.diverge_at_token
+                .is_some_and(|at| self.log.last().is_some_and(|&(_, token)| token <= at))
+        }
     }
 
     fn ring(n: usize, delay_ns: u64, tokens: u64) -> Vec<RingLp> {
@@ -688,10 +726,22 @@ mod tests {
                 delay: SimDuration::from_nanos(delay_ns),
                 fel: EventQueue::new(),
                 log: Vec::new(),
+                diverge_at_token: None,
             })
             .collect();
         lps[0].fel.push(SimTime::from_nanos(1), tokens);
         lps
+    }
+
+    /// The sequential schedule of `ring(n, delay, tokens)`: token `t` is
+    /// processed by LP `(tokens - t) % n` at time
+    /// `1 + (tokens - t) * delay`.
+    fn ring_reference(n: usize, delay: u64, tokens: u64) -> Vec<Vec<(u64, u64)>> {
+        let mut expect: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
+        for step in 0..=tokens {
+            expect[(step as usize) % n].push((1 + step * delay, tokens - step));
+        }
+        expect
     }
 
     #[test]
@@ -700,18 +750,13 @@ mod tests {
         let tokens = 100;
         for n in [1, 2, 3, 4] {
             let mut lps = ring(n, delay, tokens);
-            run_conservative(
+            let p = run_conservative(
                 &mut lps,
                 SimDuration::from_nanos(delay),
                 SimTime::from_nanos(u64::MAX - 1),
             );
-            // Sequential reference: token t is processed by LP
-            // (tokens - t) % n at time 1 + (tokens - t) * delay.
-            let mut expect: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-            for step in 0..=tokens {
-                expect[(step as usize) % n].push((1 + step * delay, tokens - step));
-            }
-            for (lp, want) in lps.iter().zip(&expect) {
+            assert!(!p.diverged);
+            for (lp, want) in lps.iter().zip(&ring_reference(n, delay, tokens)) {
                 assert_eq!(&lp.log, want, "n={n}");
             }
         }
@@ -739,11 +784,7 @@ mod tests {
         assert_eq!(matrix.get(1, 0), 2 * delay);
         assert_eq!(matrix.get(0, 0), 3 * delay);
         run_conservative_matrix(&mut lps, &matrix, SimTime::from_nanos(u64::MAX - 1));
-        let mut expect: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-        for step in 0..=tokens {
-            expect[(step as usize) % n].push((1 + step * delay, tokens - step));
-        }
-        for (lp, want) in lps.iter().zip(&expect) {
+        for (lp, want) in lps.iter().zip(&ring_reference(n, delay, tokens)) {
             assert_eq!(&lp.log, want);
         }
     }
@@ -793,12 +834,11 @@ mod tests {
     fn profile_counts_windows_and_messages() {
         let tokens = 50;
         let mut lps = ring(2, 10, tokens);
-        run_conservative(
+        let p = run_conservative(
             &mut lps,
             SimDuration::from_nanos(10),
             SimTime::from_nanos(u64::MAX - 1),
         );
-        let p = last_run_profile();
         // Every token hop is one cross-LP message, and the hops
         // alternate between the LPs, so each needs its own window.
         assert_eq!(p.messages, tokens);
@@ -823,17 +863,43 @@ mod tests {
         // window per hop, not one window per lookahead interval.
         let tokens = 40;
         let mut lps = ring(4, 10, tokens);
-        run_conservative(
+        let p = run_conservative(
             &mut lps,
             SimDuration::from_nanos(10),
             SimTime::from_nanos(u64::MAX - 1),
         );
-        let p = last_run_profile();
         assert!(
             p.windows <= tokens + 2,
             "per-LP horizons should need ~one window per hop, got {}",
             p.windows
         );
+    }
+
+    #[test]
+    fn divergence_ends_the_run_within_one_window() {
+        // A 2-LP ring carries one token per window. Both LPs report
+        // divergence once they have handled the ring's `n`th token, so
+        // the run must stop at the next barrier instead of passing the
+        // other 990 tokens, and every worker must still join.
+        let (delay, tokens, n) = (10, 1_000, 10);
+        let mut lps = ring(2, delay, tokens);
+        for lp in &mut lps {
+            lp.diverge_at_token = Some(tokens - n);
+        }
+        let p = run_conservative(
+            &mut lps,
+            SimDuration::from_nanos(delay),
+            SimTime::from_nanos(u64::MAX - 1),
+        );
+        assert!(p.diverged);
+        assert!(p.windows <= n + 2, "stopped after {} windows", p.windows);
+        let fired: u64 = lps.iter().map(|lp| lp.log.len() as u64).sum();
+        assert!(fired > n && fired <= n + 2, "{fired} tokens handled");
+        // What did run is the sequential schedule's prefix.
+        for (lp, want) in lps.iter().zip(&ring_reference(2, delay, tokens)) {
+            assert_eq!(lp.log[..], want[..lp.log.len()]);
+        }
+        assert_eq!(p.per_lp_busy_nanos.len(), 2);
     }
 
     #[test]

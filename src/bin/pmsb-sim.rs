@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use pmsb::profile::PmsbProfile;
 use pmsb::MarkPoint;
 use pmsb_metrics::fct::SizeClass;
-use pmsb_netsim::experiment::{Experiment, FaultSchedule, FlowDesc};
+use pmsb_netsim::experiment::{Experiment, ExperimentResult, FaultSchedule, FlowDesc};
 use pmsb_repro::cli::{
     parse_buffer, parse_engine, parse_flow, parse_marking, parse_partition, parse_pattern,
     parse_scheduler, parse_sim_threads, parse_topology, parse_transport, parse_weights,
@@ -65,15 +65,22 @@ USAGE:
                      | transport | hyperscale | hyperscale-k24
                      | hyperscale-k24-regional | buffers
                      | any scenario (e.g. fig08, ablation_port_threshold)
-  pmsb-sim help
+  pmsb-sim help | --help | -h
 
   --sim-threads shards one simulation across N worker threads ('auto'
   = every hardware thread, capped at the switch count). The protocol is
   conservative with per-LP lookahead horizons; results are byte-identical
-  to --sim-threads 1, see DESIGN.md section 8. --partition picks how
-  switches map to threads: 'traffic' (default) grows balanced partitions
-  weighted by the workload's expected traffic, 'contiguous' uses plain
-  switch-index ranges. The partition never changes results either.
+  to --sim-threads 1, see DESIGN.md section 8. A sharded attempt that
+  meets a same-instant tie its shards cannot order stops within one
+  window and reruns sequentially; on the fabrics measured so far most
+  runs do. Every run prints the path it took on stderr as one
+  'engine_path,...' line (packet-sequential, packet-sharded,lps=N,
+  sharded-fallback,lps=N,window=W,ambiguous_ties=T, fluid, hybrid or
+  regional). For many cells on many cores, campaign --jobs N is the
+  dependable speedup. --partition picks how switches map to threads:
+  'traffic' (default) grows balanced partitions weighted by the
+  workload's expected traffic, 'contiguous' uses plain switch-index
+  ranges. The partition never changes results either.
 
   --engine picks the simulation engine (ENGINE below): 'packet'
   (default, event per packet), 'fluid' (flow-level max-min rates with
@@ -147,6 +154,10 @@ fn opt_parse<T: std::str::FromStr>(
 }
 
 fn run(args: &[String]) -> Result<(), ParseError> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{HELP}");
+        return Ok(());
+    }
     // `campaign` uses the harness flag grammar (valueless `--quick` /
     // `--quiet`), so it is dispatched before `split_options`.
     if args.first().map(String::as_str) == Some("campaign") {
@@ -292,7 +303,20 @@ fn apply_common(mut e: Experiment, options: &[(String, String)]) -> Result<Exper
     Ok(e)
 }
 
-fn report(res: &pmsb_netsim::experiment::ExperimentResult) {
+/// Validates `e` and runs it until `end_nanos`, so a configuration the
+/// engine cannot run exits with an error line instead of a panic.
+fn run_checked(e: Experiment, end_nanos: u64) -> Result<ExperimentResult, ParseError> {
+    e.validate().map_err(|err| ParseError(err.to_string()))?;
+    Ok(e.run_until_nanos(end_nanos))
+}
+
+/// Stderr, not stdout: the engine path is the one line that differs
+/// across --sim-threads values, and stdout is byte-compared across them.
+fn report_engine_path(res: &ExperimentResult) {
+    eprintln!("engine_path,{}", res.engine_path);
+}
+
+fn report(res: &ExperimentResult) {
     println!("completed_flows,{}", res.fct.len());
     println!("marks,{}", res.marks);
     println!("drops,{}", res.drops);
@@ -365,8 +389,9 @@ fn dumbbell(options: &[(String, String)]) -> Result<(), ParseError> {
         return Err(ParseError("dumbbell needs at least one --flow".into()));
     }
     e.add_flows(flows);
-    let res = e.run_for_millis(millis);
+    let res = run_checked(e, millis * 1_000_000)?;
     report(&res);
+    report_engine_path(&res);
     if watch {
         let trace = &res.port_traces[&(0, senders)];
         for q in 0..queues {
@@ -405,8 +430,9 @@ fn leaf_spine(options: &[(String, String)]) -> Result<(), ParseError> {
                 .starting_at(f.start_nanos),
         );
     }
-    let res = e.run_until_nanos(last + 1_000_000_000);
+    let res = run_checked(e, last + 1_000_000_000)?;
     report(&res);
+    report_engine_path(&res);
     Ok(())
 }
 
@@ -447,7 +473,7 @@ fn fabric(options: &[(String, String)]) -> Result<(), ParseError> {
     if exact {
         e = e.stream_record_exact();
     }
-    let res = e.run_until_nanos(last + drain_ms * 1_000_000);
+    let res = run_checked(e, last + drain_ms * 1_000_000)?;
     let s = res.stream.as_ref().expect("fabric runs in streaming mode");
     println!("hosts,{num_hosts}");
     println!("injected,{}", s.injected);
@@ -483,6 +509,7 @@ fn fabric(options: &[(String, String)]) -> Result<(), ParseError> {
     // peaks (an upper bound taken at different instants), the one number
     // that may differ across --sim-threads values.
     eprintln!("slab_high_water,{}", s.slab_high_water);
+    report_engine_path(&res);
     Ok(())
 }
 

@@ -23,6 +23,61 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn help_flags_print_usage_and_succeed() {
+    for flag in ["--help", "-h"] {
+        let (ok, stdout, stderr) = pmsb_sim(&[flag]);
+        assert!(ok, "{flag}: {stderr}");
+        assert!(stdout.contains("USAGE"), "{flag}: {stdout}");
+    }
+}
+
+/// A configuration the engine cannot run exits non-zero with a single
+/// `error:` line naming the accepted values, never a panic.
+fn assert_clean_config_error(args: &[&str], accepted: &str) {
+    let (ok, _, stderr) = pmsb_sim(args);
+    assert!(!ok, "{args:?} must fail");
+    assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+    assert!(errors[0].contains(accepted), "{args:?}: {}", errors[0]);
+}
+
+#[test]
+fn engine_capability_errors_exit_cleanly() {
+    assert_clean_config_error(
+        &["fabric", "--engine", "fluid", "--buffer", "dt:1"],
+        "accepted: static|dt:ALPHA|delay[:MICROS]",
+    );
+    assert_clean_config_error(
+        &["fabric", "--engine", "regional:ports=999:0"],
+        "accepted: SWITCH:PORT with SWITCH in 0..20",
+    );
+}
+
+#[test]
+fn runs_report_their_engine_path_on_stderr() {
+    let (ok, stdout, stderr) = pmsb_sim(&[
+        "fabric",
+        "--topology",
+        "fat-tree:4",
+        "--flows",
+        "40",
+        "--sim-threads",
+        "2",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(!stdout.contains("engine_path"), "{stdout}");
+    let path = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("engine_path,"))
+        .unwrap_or_else(|| panic!("no engine_path line: {stderr}"));
+    assert!(
+        path.starts_with("packet-sharded,lps=2") || path.starts_with("sharded-fallback,lps=2,"),
+        "{path}"
+    );
+}
+
+#[test]
 fn profile_derives_paper_thresholds() {
     let (ok, stdout, _) = pmsb_sim(&[
         "profile",
