@@ -18,25 +18,26 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let quick = pmsb_bench::util::quick_flag();
+    let quick = args.iter().any(|a| a == "--quick");
     let json_path = flag_value("--json");
     let baseline_path = flag_value("--baseline");
 
     let mut out = String::new();
-    let results = pmsb_bench::micro::run_all(&mut out, quick);
+    let (results, parallel) = pmsb_bench::micro::run_all(&mut out, quick);
     print!("{out}");
 
     if let Some(path) = json_path {
         let baseline = baseline_path.map(|p| {
             std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("cannot read baseline {p}: {e}"))
         });
-        let report = match pmsb_bench::report::build(&results, baseline.as_deref(), quick) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("microbench: {e}");
-                std::process::exit(2);
-            }
-        };
+        let report =
+            match pmsb_bench::report::build(&results, &parallel, baseline.as_deref(), quick) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("microbench: {e}");
+                    std::process::exit(2);
+                }
+            };
         std::fs::write(&path, report)
             .unwrap_or_else(|e| panic!("cannot write JSON report {path}: {e}"));
         eprintln!("wrote {path}");

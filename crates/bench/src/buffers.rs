@@ -21,7 +21,7 @@ use pmsb_netsim::packet::MTU_WIRE_BYTES;
 use pmsb_netsim::BufferPolicy;
 
 use crate::outln;
-use crate::util::banner;
+use crate::util::{banner, SimOpts};
 
 /// Fabric shape, shared with the fault and transport sweeps: 2 leaves x
 /// 2 spines x 4 hosts per leaf.
@@ -111,7 +111,9 @@ fn incast_flows(epochs: u64) -> Vec<FlowDesc> {
     flows
 }
 
-/// Runs one `(scheme, policy, regime)` cell.
+/// Runs one `(scheme, policy, regime)` cell under `opts`; the cell's
+/// own `policy` replaces `opts.buffer`.
+#[allow(clippy::too_many_arguments)]
 pub fn run_cell(
     scheme: &'static str,
     marking: MarkingConfig,
@@ -120,13 +122,12 @@ pub fn run_cell(
     regime: &'static str,
     port_bytes: u64,
     epochs: u64,
+    opts: &SimOpts,
 ) -> BufRow {
-    let mut e = Experiment::leaf_spine(LEAVES, SPINES, HOSTS_PER_LEAF)
-        .marking(marking)
+    let mut e = opts
+        .apply(Experiment::leaf_spine(LEAVES, SPINES, HOSTS_PER_LEAF).marking(marking))
         .buffer(policy)
-        .buffer_bytes(port_bytes)
-        .sim_threads(crate::util::sim_threads())
-        .partition(crate::util::partition());
+        .buffer_bytes(port_bytes);
     if let Some(thr) = pmsbe {
         e = e.pmsbe_rtt_threshold_nanos(thr);
     }
@@ -336,6 +337,7 @@ mod tests {
             "normal",
             2 * 1024 * 1024,
             2,
+            &SimOpts::default(),
         );
         assert!(row.completed > 0);
         assert_eq!(row.shared_drops, 0, "no pool under static");
@@ -360,6 +362,7 @@ mod tests {
                 "tiny",
                 4 * MTU_WIRE_BYTES,
                 2,
+                &SimOpts::default(),
             );
             assert!(
                 row.shared_drops > 0,

@@ -5,14 +5,16 @@
 //! metrics plus the full human-readable report; the large-scale sweeps
 //! and the seed-sensitivity study fan out one job per
 //! `(scheduler, scheme, load, seed)` cell, so `--jobs N` parallelizes
-//! the expensive part of `all_experiments` and interrupted runs resume
-//! from `results/<campaign>/records.jsonl`.
+//! the expensive part of the `all` campaign and interrupted runs resume
+//! from `results/<campaign>/records.jsonl`. The sweep builders take the
+//! campaign's [`SimOpts`] and every job closure captures its own copy.
 
-use pmsb_harness::{Campaign, CampaignResult, Job, Record, RunOptions};
+use pmsb_harness::{Campaign, CampaignResult, Job, Record};
 use pmsb_netsim::experiment::SchedulerConfig;
+use pmsb_netsim::{EngineKind, RegionSpec};
 
 use crate::large_scale::{self, LsRow};
-use crate::util::banner;
+use crate::util::{banner, SimOpts};
 use crate::{buffers, extensions, faults, figures, hyperscale, outln, transport};
 
 /// The seed used by single-seed sweeps, matching the paper runs.
@@ -224,14 +226,13 @@ pub fn extension_jobs(quick: bool) -> Vec<Job> {
     ]
 }
 
-/// Tags a sweep job with a `buffer` parameter when a non-default
-/// (shared) buffer policy is active, so its records never collide with
-/// the static-buffer golden records (same convention as the `engine`
+/// Tags a sweep job with a `buffer` parameter when `opts` selects a
+/// shared buffer policy, so its records never collide with the
+/// static-buffer golden records (same convention as the `engine`
 /// parameter: default-policy jobs keep their historical keys).
-fn tag_buffer(job: Job) -> Job {
-    let buffer = crate::util::buffer_policy();
-    if buffer.is_shared() {
-        job.param("buffer", buffer.name())
+fn tag_buffer(job: Job, opts: &SimOpts) -> Job {
+    if opts.buffer.is_shared() {
+        job.param("buffer", opts.buffer.name())
     } else {
         job
     }
@@ -240,7 +241,12 @@ fn tag_buffer(job: Job) -> Job {
 /// One job per `(scheme, load, seed)` cell of a large-scale sweep.
 /// `scheduler` is `"dwrr"` (Figs. 16–21, MQ-ECN included) or `"wfq"`
 /// (Figs. 22–27).
-pub fn large_scale_jobs(scheduler: &'static str, quick: bool, seeds: &[u64]) -> Vec<Job> {
+pub fn large_scale_jobs(
+    scheduler: &'static str,
+    quick: bool,
+    seeds: &[u64],
+    opts: &SimOpts,
+) -> Vec<Job> {
     let include_mq_ecn = scheduler == "dwrr";
     let scenario = if include_mq_ecn {
         "fig16_21"
@@ -252,6 +258,7 @@ pub fn large_scale_jobs(scheduler: &'static str, quick: bool, seeds: &[u64]) -> 
     for &seed in seeds {
         for &load in loads {
             for (name, marking, pmsbe, point) in large_scale::schemes(include_mq_ecn) {
+                let cell_opts = opts.clone();
                 jobs.push(tag_buffer(
                     Job::new(scenario, seed, move || {
                         let sched = if include_mq_ecn {
@@ -264,21 +271,14 @@ pub fn large_scale_jobs(scheduler: &'static str, quick: bool, seeds: &[u64]) -> 
                             }
                         };
                         large_scale::row_record(&large_scale::run_cell(
-                            sched,
-                            name,
-                            marking,
-                            pmsbe,
-                            point,
-                            load,
-                            num_flows,
-                            seed,
-                            crate::util::sim_threads(),
+                            sched, name, marking, pmsbe, point, load, num_flows, seed, &cell_opts,
                         ))
                     })
                     .param("scheduler", scheduler)
                     .param("scheme", name)
                     .param("load", load)
                     .param("quick", quick),
+                    opts,
                 ));
             }
         }
@@ -288,19 +288,23 @@ pub fn large_scale_jobs(scheduler: &'static str, quick: bool, seeds: &[u64]) -> 
 
 /// One job per `(scheme, fault profile)` cell of the fault-injection
 /// sweep (see [`crate::faults`]).
-pub fn fault_jobs(quick: bool, seed: u64) -> Vec<Job> {
+pub fn fault_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
     let num_flows = faults::num_flows(quick);
     let mut jobs = Vec::new();
     for (name, marking) in faults::schemes() {
         for profile in faults::PROFILES {
             let marking = marking.clone();
+            let cell_opts = opts.clone();
             jobs.push(tag_buffer(
                 Job::new("faults", seed, move || {
-                    faults::row_record(&faults::run_cell(name, marking, profile, num_flows, seed))
+                    faults::row_record(&faults::run_cell(
+                        name, marking, profile, num_flows, seed, &cell_opts,
+                    ))
                 })
                 .param("scheme", name)
                 .param("profile", *profile)
                 .param("quick", quick),
+                opts,
             ));
         }
     }
@@ -320,22 +324,18 @@ pub fn write_faults_report(out: &mut String, records: &[Record]) {
 }
 
 /// One job per `(scheme, pattern)` cell of the hyperscale fat-tree
-/// sweep (see [`crate::hyperscale`]). Streaming cells: the record holds
-/// sketch percentiles and the slab high-water mark, never a per-flow
-/// sample store.
-pub fn hyperscale_jobs(quick: bool, seed: u64) -> Vec<Job> {
+/// sweep (see [`crate::hyperscale`]), the one campaign that runs on
+/// `opts.engine`. Streaming cells: the record holds sketch percentiles
+/// and the slab high-water mark, never a per-flow sample store.
+pub fn hyperscale_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
     let (k, total_flows) = hyperscale::fabric_and_flows(quick);
-    // Captured at job-construction time (`--engine` is parsed before the
-    // campaign is built). Non-packet engines are tagged with an `engine`
-    // parameter so their records never collide with the packet-engine
-    // golden records; packet jobs keep their historical keys.
-    let engine = crate::util::engine();
     let mut jobs = Vec::new();
     for scheme in hyperscale::schemes() {
         for pattern in hyperscale::patterns(quick) {
             let name = scheme.0;
             let pattern_name = pattern.0;
             let scheme = scheme.clone();
+            let cell_opts = opts.clone();
             let mut job = Job::new("hyperscale", seed, move || {
                 hyperscale::row_record(&hyperscale::run_cell(
                     &scheme,
@@ -343,17 +343,22 @@ pub fn hyperscale_jobs(quick: bool, seed: u64) -> Vec<Job> {
                     k,
                     total_flows,
                     seed,
-                    crate::util::sim_threads(),
-                    engine,
+                    &cell_opts,
                 ))
             })
             .param("scheme", name)
             .param("pattern", pattern_name)
             .param("quick", quick);
-            if engine != pmsb_netsim::EngineKind::Packet {
-                job = job.param("engine", engine.name());
+            // Non-default engines and regions are tagged so their records
+            // never collide with the packet-engine golden records (or with
+            // another region's); packet jobs keep their historical keys.
+            if opts.engine != EngineKind::Packet {
+                job = job.param("engine", opts.engine.name());
             }
-            jobs.push(tag_buffer(job));
+            if opts.region != RegionSpec::Auto {
+                job = job.param("region", opts.region.name());
+            }
+            jobs.push(tag_buffer(job, opts));
         }
     }
     jobs
@@ -374,32 +379,50 @@ pub fn write_hyperscale_report(out: &mut String, records: &[Record]) {
 /// One job per `(scheme, pattern)` cell of the k=24 grid — the ROADMAP's
 /// largest-fabric remnant. The engine is pinned to hybrid per cell (the
 /// flow-level fast path is what makes 3456 hosts affordable as a
-/// campaign cell), so `--engine` does not apply; records carry an
-/// explicit `engine=hybrid` parameter.
-pub fn hyperscale_k24_jobs(quick: bool, seed: u64) -> Vec<Job> {
+/// campaign cell), so `opts.engine` and `opts.region` do not apply;
+/// records carry an explicit `engine=hybrid` parameter.
+pub fn hyperscale_k24_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
+    k24_jobs("hyperscale_k24", EngineKind::Hybrid, quick, seed, opts)
+}
+
+/// The k=24 grid on the pinned `engine`, shared by
+/// [`hyperscale_k24_jobs`] and [`hyperscale_k24_regional_jobs`].
+fn k24_jobs(
+    scenario: &'static str,
+    engine: EngineKind,
+    quick: bool,
+    seed: u64,
+    opts: &SimOpts,
+) -> Vec<Job> {
     let total_flows = hyperscale::k24_flows(quick);
+    let pinned = SimOpts {
+        engine,
+        region: RegionSpec::Auto,
+        ..opts.clone()
+    };
     let mut jobs = Vec::new();
     for scheme in hyperscale::k24_schemes() {
         for pattern in hyperscale::k24_patterns() {
             let name = scheme.0;
             let pattern_name = pattern.0;
             let scheme = scheme.clone();
+            let cell_opts = pinned.clone();
             jobs.push(tag_buffer(
-                Job::new("hyperscale_k24", seed, move || {
+                Job::new(scenario, seed, move || {
                     hyperscale::row_record(&hyperscale::run_cell(
                         &scheme,
                         &pattern,
                         hyperscale::K24_FABRIC,
                         total_flows,
                         seed,
-                        crate::util::sim_threads(),
-                        pmsb_netsim::EngineKind::Hybrid,
+                        &cell_opts,
                     ))
                 })
                 .param("scheme", name)
                 .param("pattern", pattern_name)
-                .param("engine", "hybrid")
+                .param("engine", engine.name())
                 .param("quick", quick),
+                opts,
             ));
         }
     }
@@ -423,36 +446,17 @@ pub fn write_hyperscale_k24_report(out: &mut String, records: &[Record]) {
 /// engine (`auto` hot set), so the scheme columns differ through
 /// *measured* per-queue marking at the hot ports — the per-port-vs-PMSB
 /// contrast the pure flow-level engines cannot resolve (DESIGN.md §13).
-/// The engine is pinned per cell, so `--engine` does not apply; records
-/// carry an explicit `engine=regional` parameter.
-pub fn hyperscale_k24_regional_jobs(quick: bool, seed: u64) -> Vec<Job> {
-    let total_flows = hyperscale::k24_flows(quick);
-    let mut jobs = Vec::new();
-    for scheme in hyperscale::k24_schemes() {
-        for pattern in hyperscale::k24_patterns() {
-            let name = scheme.0;
-            let pattern_name = pattern.0;
-            let scheme = scheme.clone();
-            jobs.push(tag_buffer(
-                Job::new("hyperscale_k24_regional", seed, move || {
-                    hyperscale::row_record(&hyperscale::run_cell(
-                        &scheme,
-                        &pattern,
-                        hyperscale::K24_FABRIC,
-                        total_flows,
-                        seed,
-                        crate::util::sim_threads(),
-                        pmsb_netsim::EngineKind::Regional,
-                    ))
-                })
-                .param("scheme", name)
-                .param("pattern", pattern_name)
-                .param("engine", "regional")
-                .param("quick", quick),
-            ));
-        }
-    }
-    jobs
+/// The engine and its auto region are pinned per cell, so `opts.engine`
+/// and `opts.region` do not apply; records carry an explicit
+/// `engine=regional` parameter.
+pub fn hyperscale_k24_regional_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
+    k24_jobs(
+        "hyperscale_k24_regional",
+        EngineKind::Regional,
+        quick,
+        seed,
+        opts,
+    )
 }
 
 /// Writes the regional k=24 table from completed records.
@@ -469,20 +473,22 @@ pub fn write_hyperscale_k24_regional_report(out: &mut String, records: &[Record]
 
 /// One job per `(transport, scheme)` cell of the transport sweep (see
 /// [`crate::transport`]).
-pub fn transport_jobs(quick: bool, seed: u64) -> Vec<Job> {
+pub fn transport_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
     let num_flows = transport::num_flows(quick);
     let mut jobs = Vec::new();
     for &kind in transport::TRANSPORTS {
         for (name, marking, pmsbe) in transport::schemes() {
+            let cell_opts = opts.clone();
             jobs.push(tag_buffer(
                 Job::new("transport", seed, move || {
                     transport::row_record(&transport::run_cell(
-                        kind, name, marking, pmsbe, num_flows, seed,
+                        kind, name, marking, pmsbe, num_flows, seed, &cell_opts,
                     ))
                 })
                 .param("transport", kind.name())
                 .param("scheme", name)
                 .param("quick", quick),
+                opts,
             ));
         }
     }
@@ -503,20 +509,21 @@ pub fn write_transport_report(out: &mut String, records: &[Record]) {
 
 /// One job per `(scheme, buffer policy, memory regime)` cell of the
 /// buffer-contention sweep (see [`crate::buffers`]). Unlike the other
-/// sweeps this campaign pins its own buffer policy per cell, so the
-/// process-wide `--buffer` override does not apply to it; the flow
-/// pattern is a deterministic incast schedule, so the job seed is 0.
-pub fn buffer_jobs(quick: bool) -> Vec<Job> {
+/// sweeps this campaign pins its own buffer policy per cell, so
+/// `opts.buffer` does not apply to it; the flow pattern is a
+/// deterministic incast schedule, so the job seed is 0.
+pub fn buffer_jobs(quick: bool, opts: &SimOpts) -> Vec<Job> {
     let epochs = buffers::num_epochs(quick);
     let mut jobs = Vec::new();
     for (scheme, marking, pmsbe) in transport::schemes() {
         for policy in buffers::policies() {
             for (regime, port_bytes) in buffers::regimes() {
                 let marking = marking.clone();
+                let cell_opts = opts.clone();
                 jobs.push(
                     Job::new("buffers", 0, move || {
                         buffers::row_record(&buffers::run_cell(
-                            scheme, marking, pmsbe, policy, regime, port_bytes, epochs,
+                            scheme, marking, pmsbe, policy, regime, port_bytes, epochs, &cell_opts,
                         ))
                     })
                     .param("scheme", scheme)
@@ -544,7 +551,7 @@ pub fn write_buffers_report(out: &mut String, records: &[Record]) {
 
 /// One job per `(scheme, seed)` of the seed-sensitivity study: the
 /// headline PMSB-vs-TCN comparison (DWRR, load 0.5) across seeds.
-pub fn seed_sensitivity_jobs(quick: bool) -> Vec<Job> {
+pub fn seed_sensitivity_jobs(quick: bool, opts: &SimOpts) -> Vec<Job> {
     let num_flows = if quick { 250 } else { 800 };
     let mut jobs = Vec::new();
     for &seed in &SENSITIVITY_SEEDS {
@@ -552,6 +559,7 @@ pub fn seed_sensitivity_jobs(quick: bool) -> Vec<Job> {
             if name != "pmsb" && name != "tcn" {
                 continue;
             }
+            let cell_opts = opts.clone();
             jobs.push(tag_buffer(
                 Job::new("seed_sensitivity", seed, move || {
                     large_scale::row_record(&large_scale::run_cell(
@@ -565,13 +573,14 @@ pub fn seed_sensitivity_jobs(quick: bool) -> Vec<Job> {
                         0.5,
                         num_flows,
                         seed,
-                        crate::util::sim_threads(),
+                        &cell_opts,
                     ))
                 })
                 .param("scheduler", "dwrr")
                 .param("scheme", name)
                 .param("load", 0.5)
                 .param("quick", quick),
+                opts,
             ));
         }
     }
@@ -588,12 +597,12 @@ fn campaign_from(name: &str, jobs: Vec<Job>) -> Campaign {
 
 /// The full suite — every figure, extension, large-scale cell, and
 /// seed-sensitivity cell — as one campaign.
-pub fn all_experiments_campaign(quick: bool) -> Campaign {
+pub fn all_experiments_campaign(quick: bool, opts: &SimOpts) -> Campaign {
     let mut jobs = figure_jobs(quick);
     jobs.extend(extension_jobs(quick));
-    jobs.extend(large_scale_jobs("dwrr", quick, &[DEFAULT_SEED]));
-    jobs.extend(large_scale_jobs("wfq", quick, &[DEFAULT_SEED]));
-    jobs.extend(seed_sensitivity_jobs(quick));
+    jobs.extend(large_scale_jobs("dwrr", quick, &[DEFAULT_SEED], opts));
+    jobs.extend(large_scale_jobs("wfq", quick, &[DEFAULT_SEED], opts));
+    jobs.extend(seed_sensitivity_jobs(quick, opts));
     campaign_from("all_experiments", jobs)
 }
 
@@ -616,43 +625,42 @@ pub const CAMPAIGN_NAMES: &[&str] = &[
 
 /// Resolves a campaign by name: one of [`CAMPAIGN_NAMES`] or any
 /// individual figure/extension scenario (e.g. `fig08`,
-/// `ablation_port_threshold`).
-pub fn campaign_by_name(name: &str, quick: bool) -> Option<Campaign> {
+/// `ablation_port_threshold`), its cells run under `opts`.
+///
+/// # Errors
+///
+/// An unknown name, or a non-packet `opts.engine` for any campaign but
+/// `hyperscale` (the others are packet-engine cells, and the k=24
+/// campaigns pin their own engine), gives a one-line message.
+pub fn campaign_by_name(name: &str, quick: bool, opts: &SimOpts) -> Result<Campaign, String> {
     let canonical = name.replace('-', "_");
-    match canonical.as_str() {
-        "all" | "all_experiments" => Some(all_experiments_campaign(quick)),
-        "figures" => Some(campaign_from("figures", figure_jobs(quick))),
-        "extensions" => Some(campaign_from("extensions", extension_jobs(quick))),
-        "large_scale_dwrr" | "fig16_21" => Some(campaign_from(
+    let campaign = match canonical.as_str() {
+        "all" | "all_experiments" => all_experiments_campaign(quick, opts),
+        "figures" => campaign_from("figures", figure_jobs(quick)),
+        "extensions" => campaign_from("extensions", extension_jobs(quick)),
+        "large_scale_dwrr" | "fig16_21" => campaign_from(
             "large_scale_dwrr",
-            large_scale_jobs("dwrr", quick, &[DEFAULT_SEED]),
-        )),
-        "large_scale_wfq" | "fig22_27" => Some(campaign_from(
+            large_scale_jobs("dwrr", quick, &[DEFAULT_SEED], opts),
+        ),
+        "large_scale_wfq" | "fig22_27" => campaign_from(
             "large_scale_wfq",
-            large_scale_jobs("wfq", quick, &[DEFAULT_SEED]),
-        )),
-        "seed_sensitivity" | "ext_seed_sensitivity" => Some(campaign_from(
-            "seed_sensitivity",
-            seed_sensitivity_jobs(quick),
-        )),
-        "faults" => Some(campaign_from("faults", fault_jobs(quick, DEFAULT_SEED))),
-        "transport" => Some(campaign_from(
-            "transport",
-            transport_jobs(quick, DEFAULT_SEED),
-        )),
-        "hyperscale" => Some(campaign_from(
-            "hyperscale",
-            hyperscale_jobs(quick, DEFAULT_SEED),
-        )),
-        "hyperscale_k24" => Some(campaign_from(
+            large_scale_jobs("wfq", quick, &[DEFAULT_SEED], opts),
+        ),
+        "seed_sensitivity" | "ext_seed_sensitivity" => {
+            campaign_from("seed_sensitivity", seed_sensitivity_jobs(quick, opts))
+        }
+        "faults" => campaign_from("faults", fault_jobs(quick, DEFAULT_SEED, opts)),
+        "transport" => campaign_from("transport", transport_jobs(quick, DEFAULT_SEED, opts)),
+        "hyperscale" => campaign_from("hyperscale", hyperscale_jobs(quick, DEFAULT_SEED, opts)),
+        "hyperscale_k24" => campaign_from(
             "hyperscale_k24",
-            hyperscale_k24_jobs(quick, DEFAULT_SEED),
-        )),
-        "hyperscale_k24_regional" => Some(campaign_from(
+            hyperscale_k24_jobs(quick, DEFAULT_SEED, opts),
+        ),
+        "hyperscale_k24_regional" => campaign_from(
             "hyperscale_k24_regional",
-            hyperscale_k24_regional_jobs(quick, DEFAULT_SEED),
-        )),
-        "buffers" => Some(campaign_from("buffers", buffer_jobs(quick))),
+            hyperscale_k24_regional_jobs(quick, DEFAULT_SEED, opts),
+        ),
+        "buffers" => campaign_from("buffers", buffer_jobs(quick, opts)),
         _ => {
             let jobs: Vec<Job> = figure_jobs(quick)
                 .into_iter()
@@ -660,12 +668,22 @@ pub fn campaign_by_name(name: &str, quick: bool) -> Option<Campaign> {
                 .filter(|j| j.scenario() == canonical)
                 .collect();
             if jobs.is_empty() {
-                None
-            } else {
-                Some(campaign_from(&canonical, jobs))
+                return Err(format!(
+                    "unknown campaign '{name}' (try {} or a scenario like fig08)",
+                    CAMPAIGN_NAMES.join(" | ")
+                ));
             }
+            campaign_from(&canonical, jobs)
         }
+    };
+    if opts.engine != EngineKind::Packet && campaign.name() != "hyperscale" {
+        return Err(format!(
+            "engine '{}' applies to campaign hyperscale only; '{name}' runs on a fixed \
+             engine (accepted: packet)",
+            opts.engine.name()
+        ));
     }
+    Ok(campaign)
 }
 
 /// Writes the seed-sensitivity summary table from completed records.
@@ -731,100 +749,13 @@ pub fn print_campaign_output(result: &CampaignResult) {
     print!("{out}");
 }
 
-/// Shared `main` for campaign binaries: parse harness flags plus
-/// `--quick`, run the named campaign, print its output, exit nonzero
-/// if any job failed.
-pub fn run_campaign_main(name: &str) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (opts, rest) = match RunOptions::take_flags(args) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let mut quick = false;
-    let mut rest = rest.into_iter();
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            // Out-of-band on purpose: thread count changes wall clock
-            // only, never records, so it must stay out of job keys.
-            "--sim-threads" => match rest.next().as_deref() {
-                Some(v) if v.eq_ignore_ascii_case("auto") => crate::util::set_sim_threads(
-                    std::thread::available_parallelism().map_or(1, |n| n.get()),
-                ),
-                Some(v) if v.parse::<usize>().is_ok_and(|n| n >= 1) => {
-                    crate::util::set_sim_threads(v.parse().unwrap())
-                }
-                _ => {
-                    eprintln!("{name}: --sim-threads needs an integer >= 1, or auto");
-                    std::process::exit(2);
-                }
-            },
-            // Out-of-band for the same reason: the conservative protocol
-            // is byte-identical under any partition, so the strategy
-            // must never enter a job key.
-            "--partition" => match rest.next().as_deref() {
-                Some("traffic") => {
-                    crate::util::set_partition(pmsb_netsim::PartitionStrategy::Traffic)
-                }
-                Some("contiguous") => {
-                    crate::util::set_partition(pmsb_netsim::PartitionStrategy::Contiguous)
-                }
-                _ => {
-                    eprintln!("{name}: --partition needs traffic|contiguous");
-                    std::process::exit(2);
-                }
-            },
-            // Applies to the sweep campaigns (non-static records are
-            // tagged with a `buffer` job parameter); the `buffers`
-            // campaign pins its own policy per cell and ignores this.
-            "--buffer" => match rest.next().map(|v| pmsb_netsim::BufferPolicy::parse(&v)) {
-                Some(Ok(p)) => crate::util::set_buffer_policy(p),
-                Some(Err(e)) => {
-                    eprintln!("{name}: {e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("{name}: --buffer needs static|dt:ALPHA|delay[:MICROS]");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("{name}: unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(campaign) = campaign_by_name(name, quick) else {
-        eprintln!("{name}: unknown campaign");
-        std::process::exit(2);
-    };
-    match campaign.run(&opts) {
-        Ok(result) => {
-            print_campaign_output(&result);
-            if !result.is_success() {
-                for f in &result.failures {
-                    eprintln!("{name}: job {} failed: {}", f.key, f.error);
-                }
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn all_experiments_job_counts_line_up() {
-        let c = all_experiments_campaign(true);
+        let c = all_experiments_campaign(true, &SimOpts::default());
         // 16 figures + 10 extensions + dwrr cells (2 loads x 4 schemes)
         // + wfq cells (2 loads x 3 schemes) + sensitivity (3 seeds x 2).
         assert_eq!(c.len(), 16 + 10 + 8 + 6 + 6);
@@ -832,20 +763,40 @@ mod tests {
 
     #[test]
     fn campaign_names_resolve() {
+        let opts = SimOpts::default();
         for name in CAMPAIGN_NAMES {
             assert!(
-                campaign_by_name(name, true).is_some(),
+                campaign_by_name(name, true, &opts).is_ok(),
                 "{name} must resolve"
             );
         }
-        assert!(campaign_by_name("fig08", true).is_some());
-        assert!(campaign_by_name("ablation_port_threshold", true).is_some());
-        assert!(campaign_by_name("no_such_campaign", true).is_none());
+        assert!(campaign_by_name("fig08", true, &opts).is_ok());
+        assert!(campaign_by_name("ablation_port_threshold", true, &opts).is_ok());
+        let Err(err) = campaign_by_name("no_such_campaign", true, &opts) else {
+            panic!("an unknown name must not resolve");
+        };
+        assert!(err.contains("unknown campaign"), "{err}");
+    }
+
+    #[test]
+    fn only_hyperscale_takes_a_non_packet_engine() {
+        let fluid = SimOpts {
+            engine: EngineKind::Fluid,
+            ..SimOpts::default()
+        };
+        assert!(campaign_by_name("hyperscale", true, &fluid).is_ok());
+        for name in CAMPAIGN_NAMES.iter().filter(|n| **n != "hyperscale") {
+            let Err(err) = campaign_by_name(name, true, &fluid) else {
+                panic!("{name} must reject the fluid engine");
+            };
+            assert!(err.contains("accepted: packet"), "{name}: {err}");
+        }
+        assert!(campaign_by_name("fig08", true, &fluid).is_err());
     }
 
     #[test]
     fn transport_jobs_cover_the_grid() {
-        let jobs = transport_jobs(true, DEFAULT_SEED);
+        let jobs = transport_jobs(true, DEFAULT_SEED, &SimOpts::default());
         // 2 transports x 4 schemes.
         assert_eq!(jobs.len(), 8);
         let keys: std::collections::HashSet<String> = jobs.iter().map(|j| j.key()).collect();
@@ -857,7 +808,7 @@ mod tests {
 
     #[test]
     fn hyperscale_jobs_cover_the_grid() {
-        let jobs = hyperscale_jobs(true, DEFAULT_SEED);
+        let jobs = hyperscale_jobs(true, DEFAULT_SEED, &SimOpts::default());
         // 4 schemes x 3 patterns.
         assert_eq!(jobs.len(), 12);
         let keys: std::collections::HashSet<String> = jobs.iter().map(|j| j.key()).collect();
@@ -868,8 +819,32 @@ mod tests {
     }
 
     #[test]
+    fn hyperscale_keys_name_the_engine_and_an_explicit_region() {
+        let key = |opts: &SimOpts| hyperscale_jobs(true, DEFAULT_SEED, opts)[0].key();
+        let auto = SimOpts {
+            engine: EngineKind::Regional,
+            ..SimOpts::default()
+        };
+        let ports = SimOpts {
+            region: RegionSpec::Ports(vec![(0, 0), (4, 0)]),
+            ..auto.clone()
+        };
+        assert!(key(&auto).contains(" engine=regional"), "{}", key(&auto));
+        assert!(!key(&auto).contains("region="), "{}", key(&auto));
+        assert!(
+            key(&ports).contains(" region=ports=0:0,4:0"),
+            "{}",
+            key(&ports)
+        );
+        // A region never leaks into the pinned k=24 grids.
+        for job in hyperscale_k24_regional_jobs(true, DEFAULT_SEED, &ports) {
+            assert!(!job.key().contains("region="), "{}", job.key());
+        }
+    }
+
+    #[test]
     fn hyperscale_k24_jobs_cover_the_grid() {
-        let jobs = hyperscale_k24_jobs(true, DEFAULT_SEED);
+        let jobs = hyperscale_k24_jobs(true, DEFAULT_SEED, &SimOpts::default());
         // 2 schemes x 2 patterns.
         assert_eq!(jobs.len(), 4);
         let keys: std::collections::HashSet<String> = jobs.iter().map(|j| j.key()).collect();
@@ -881,7 +856,7 @@ mod tests {
 
     #[test]
     fn hyperscale_k24_regional_jobs_cover_the_grid() {
-        let jobs = hyperscale_k24_regional_jobs(true, DEFAULT_SEED);
+        let jobs = hyperscale_k24_regional_jobs(true, DEFAULT_SEED, &SimOpts::default());
         // 2 schemes x 2 patterns, all pinned to the regional engine.
         assert_eq!(jobs.len(), 4);
         let keys: std::collections::HashSet<String> = jobs.iter().map(|j| j.key()).collect();
@@ -894,7 +869,7 @@ mod tests {
 
     #[test]
     fn buffer_jobs_cover_the_grid() {
-        let jobs = buffer_jobs(true);
+        let jobs = buffer_jobs(true, &SimOpts::default());
         // 4 schemes x 3 policies x 2 regimes.
         assert_eq!(jobs.len(), 24);
         let keys: std::collections::HashSet<String> = jobs.iter().map(|j| j.key()).collect();
@@ -906,7 +881,7 @@ mod tests {
 
     #[test]
     fn large_scale_jobs_cover_the_grid() {
-        let jobs = large_scale_jobs("dwrr", true, &[1, 2]);
+        let jobs = large_scale_jobs("dwrr", true, &[1, 2], &SimOpts::default());
         // 2 seeds x 2 loads x 4 schemes.
         assert_eq!(jobs.len(), 16);
         let keys: std::collections::HashSet<String> = jobs.iter().map(|j| j.key()).collect();

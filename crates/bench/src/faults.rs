@@ -16,7 +16,7 @@ use pmsb_simcore::rng::SimRng;
 use pmsb_workload::traffic::TrafficSpec;
 
 use crate::outln;
-use crate::util::banner;
+use crate::util::{banner, SimOpts};
 
 /// Fabric shape: `LEAVES` leaves x `SPINES` spines x `HOSTS_PER_LEAF`
 /// hosts (leaf switches are topology indices `0..LEAVES`, uplink to
@@ -108,24 +108,22 @@ pub struct FaultRow {
     pub max_recovery_us: f64,
 }
 
-/// Runs one `(scheme, profile)` cell: the paper flow mix at moderate
-/// load over the small leaf–spine, with the profile's faults injected.
+/// Runs one `(scheme, profile)` cell under `opts`: the paper flow mix
+/// at moderate load over the small leaf–spine, with the profile's
+/// faults injected.
 pub fn run_cell(
     scheme: &'static str,
     marking: MarkingConfig,
     profile: &'static str,
     num_flows: usize,
     seed: u64,
+    opts: &SimOpts,
 ) -> FaultRow {
     let num_hosts = LEAVES * HOSTS_PER_LEAF;
     let spec = TrafficSpec::paper_large_scale(num_hosts, 0.3);
     let mut rng = SimRng::seed_from(seed);
     let flows = spec.generate(num_flows, &mut rng);
-    let mut e = Experiment::leaf_spine(LEAVES, SPINES, HOSTS_PER_LEAF)
-        .marking(marking)
-        .buffer(crate::util::buffer_policy())
-        .sim_threads(crate::util::sim_threads())
-        .partition(crate::util::partition());
+    let mut e = opts.apply(Experiment::leaf_spine(LEAVES, SPINES, HOSTS_PER_LEAF).marking(marking));
     // The fault stream is salted off the workload seed so different
     // seeds move both the traffic and the loss pattern, while equal
     // seeds reproduce the run exactly.
@@ -338,6 +336,7 @@ mod tests {
             "flap+loss",
             60,
             42,
+            &SimOpts::default(),
         );
         assert!(row.completed > 0);
         assert!(row.fault_drops > 0, "0.1% loss must destroy packets");

@@ -109,14 +109,12 @@ pub fn fig04(out: &mut String, quick: bool) -> (f64, f64) {
     );
     let (enq, deq) = (
         slow_start_peak(
-            out,
             MarkingConfig::PerQueueStandard { threshold_pkts: 16 },
             MarkPoint::Enqueue,
             None,
             quick,
         ),
         slow_start_peak(
-            out,
             MarkingConfig::PerQueueStandard { threshold_pkts: 16 },
             MarkPoint::Dequeue,
             None,
@@ -145,7 +143,6 @@ pub fn fig05(out: &mut String, quick: bool) -> f64 {
         "Fig 5: TCN T_k=192 us at 1 Gbps, 4 flows -- no early notification",
     );
     let peak = slow_start_peak(
-        out,
         MarkingConfig::Tcn {
             threshold_nanos: 192_000,
         },
@@ -336,8 +333,8 @@ pub fn fig11_12(out: &mut String, quick: bool) -> Vec<(&'static str, f64, f64)> 
             Some(90_000u64),
         ),
     ] {
-        let enq = slow_start_peak(out, marking.clone(), MarkPoint::Enqueue, pmsbe, quick);
-        let deq = slow_start_peak(out, marking, MarkPoint::Dequeue, pmsbe, quick);
+        let enq = slow_start_peak(marking.clone(), MarkPoint::Enqueue, pmsbe, quick);
+        let deq = slow_start_peak(marking, MarkPoint::Dequeue, pmsbe, quick);
         outln!(out, "{name},{enq:.1},{deq:.1}");
         rows.push((name, enq, deq));
     }
@@ -577,10 +574,7 @@ fn print_share(out: &mut String, r: &ShareResult) {
 
 /// Slow-start buffer peak (in packets) at a 1 Gbps bottleneck with 4
 /// synchronized flows in one queue — the Figs. 4/5/11/12 measurement.
-/// With `--series`, also dumps the occupancy-vs-time trace (the curve
-/// the paper plots).
 fn slow_start_peak(
-    out: &mut String,
     marking: MarkingConfig,
     point: MarkPoint,
     pmsbe: Option<u64>,
@@ -588,7 +582,7 @@ fn slow_start_peak(
 ) -> f64 {
     let millis = if quick { 10 } else { 30 };
     let mut e = Experiment::dumbbell(4, 1)
-        .marking(marking.clone())
+        .marking(marking)
         .mark_point(point)
         .link_rate_gbps(1)
         .watch_bottleneck(5_000);
@@ -599,18 +593,10 @@ fn slow_start_peak(
         e.add_flow(FlowDesc::long_lived(s, 4, 0));
     }
     let res = e.run_for_millis(millis);
-    let gauge = &res.port_traces[&(0, 4)].port_occupancy_pkts;
-    if crate::util::series_flag() {
-        outln!(
-            out,
-            "# series {}/{point} (time_us,occupancy_pkts)",
-            marking.name()
-        );
-        for (t, v) in gauge.points() {
-            outln!(out, "{:.1},{v:.0}", *t as f64 / 1e3);
-        }
-    }
-    gauge.peak().expect("occupancy samples")
+    res.port_traces[&(0, 4)]
+        .port_occupancy_pkts
+        .peak()
+        .expect("occupancy samples")
 }
 
 /// Stage boundaries for the Figs. 13–15 staged-start experiments:

@@ -10,11 +10,10 @@
 
 use pmsb_harness::Record;
 use pmsb_netsim::experiment::{Experiment, MarkingConfig};
-use pmsb_netsim::EngineKind;
 use pmsb_workload::PatternSpec;
 
 use crate::outln;
-use crate::util::banner;
+use crate::util::{banner, SimOpts};
 
 /// One `(scheme, pattern)` cell of the hyperscale table.
 #[derive(Debug, Clone)]
@@ -156,19 +155,16 @@ pub fn k24_patterns() -> Vec<(&'static str, PatternSpec)> {
 }
 
 /// Runs one `(scheme, pattern)` streaming cell on a `fat_tree(k)`
-/// fabric across `sim_threads` shards, under the chosen simulation
-/// `engine` (the fluid/hybrid engines ignore `sim_threads`; they are
-/// single-threaded by design). The horizon is the stream's last arrival
-/// plus a 50 ms drain window.
-#[allow(clippy::too_many_arguments)]
+/// fabric under `opts` (the flow-level engines ignore
+/// `opts.sim_threads`; they are single-threaded by design). The horizon
+/// is the stream's last arrival plus a 50 ms drain window.
 pub fn run_cell(
     scheme_spec: &SchemeSpec,
     pattern_spec: &(&'static str, PatternSpec),
     k: usize,
     total_flows: u64,
     seed: u64,
-    sim_threads: usize,
-    engine: EngineKind,
+    opts: &SimOpts,
 ) -> HsRow {
     let (scheme, marking, pmsbe) = scheme_spec.clone();
     let (pattern_name, pattern) = pattern_spec;
@@ -178,16 +174,11 @@ pub fn run_cell(
         .last()
         .map(|f| f.start_nanos)
         .unwrap_or(0);
-    let mut e = Experiment::fat_tree(k)
-        .marking(marking)
-        .stream(pattern.clone(), seed, total_flows)
-        .buffer(crate::util::buffer_policy())
-        .sim_threads(sim_threads)
-        .partition(crate::util::partition())
-        .engine(engine);
-    if engine == EngineKind::Regional {
-        e = e.region(crate::util::region());
-    }
+    let mut e = opts.apply(Experiment::fat_tree(k).marking(marking).stream(
+        pattern.clone(),
+        seed,
+        total_flows,
+    ));
     if let Some(thr) = pmsbe {
         e = e.pmsbe_rtt_threshold_nanos(thr);
     }

@@ -14,7 +14,7 @@ use pmsb_simcore::rng::SimRng;
 use pmsb_workload::traffic::TrafficSpec;
 
 use crate::outln;
-use crate::util::banner;
+use crate::util::{banner, SimOpts};
 use pmsb_metrics::fct::SizeClass;
 use pmsb_metrics::robustness::{FlowRobustness, RobustnessSummary};
 
@@ -108,9 +108,8 @@ pub fn schemes(include_mq_ecn: bool) -> Vec<SchemeSpec> {
     v
 }
 
-/// Runs one `(scheduler, scheme, load)` cell on `sim_threads` shards
-/// (1 = sequential; the records are identical either way, see
-/// DESIGN.md §8).
+/// Runs one `(scheduler, scheme, load)` cell under `opts` (any thread
+/// count gives the same records, see DESIGN.md §8).
 #[allow(clippy::too_many_arguments)]
 pub fn run_cell(
     scheduler: SchedulerConfig,
@@ -121,18 +120,17 @@ pub fn run_cell(
     load: f64,
     num_flows: usize,
     seed: u64,
-    sim_threads: usize,
+    opts: &SimOpts,
 ) -> LsRow {
     let spec = TrafficSpec::paper_large_scale(48, load);
     let mut rng = SimRng::seed_from(seed);
     let flows = spec.generate(num_flows, &mut rng);
-    let mut e = Experiment::paper_leaf_spine()
-        .scheduler(scheduler)
-        .marking(marking)
-        .mark_point(mark_point)
-        .buffer(crate::util::buffer_policy())
-        .sim_threads(sim_threads)
-        .partition(crate::util::partition());
+    let mut e = opts.apply(
+        Experiment::paper_leaf_spine()
+            .scheduler(scheduler)
+            .marking(marking)
+            .mark_point(mark_point),
+    );
     if let Some(thr) = pmsbe {
         e = e.pmsbe_rtt_threshold_nanos(thr);
     }

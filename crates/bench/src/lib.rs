@@ -3,42 +3,42 @@
 //! The PMSB experiment suite.
 //!
 //! Every table and figure of the paper's evaluation maps to one function
-//! here and one thin binary in `src/bin/`:
+//! here and one scenario of `pmsb-sim campaign`:
 //!
-//! | Paper artefact | Function | Binary |
+//! | Paper artefact | Function | Scenario |
 //! |---|---|---|
-//! | Fig. 1 | [`figures::fig01`] | `fig01_per_queue_standard` |
-//! | Fig. 2 | [`figures::fig02`] | `fig02_fractional_threshold` |
-//! | Fig. 3 | [`figures::fig03`] | `fig03_per_port_violation` |
-//! | Fig. 4 | [`figures::fig04`] | `fig04_enq_vs_deq` |
-//! | Fig. 5 | [`figures::fig05`] | `fig05_tcn_no_early` |
-//! | Fig. 6 | [`figures::fig06`] | `fig06_port65_1v8` |
-//! | Fig. 7 | [`figures::fig07`] | `fig07_port65_1v40` |
-//! | Fig. 8 | [`figures::fig08`] | `fig08_pmsb_dwrr_1v4` |
-//! | Fig. 9 | [`figures::fig09`] | `fig09_rtt_cdf` |
-//! | Fig. 10 | [`figures::fig10`] | `fig10_pmsb_1v100` |
-//! | Figs. 11/12 | [`figures::fig11_12`] | `fig11_12_early_notification` |
-//! | Fig. 13 | [`figures::fig13`] | `fig13_sp_wfq` |
-//! | Fig. 14 | [`figures::fig14`] | `fig14_sp` |
-//! | Fig. 15 | [`figures::fig15`] | `fig15_wfq` |
-//! | Figs. 16–21 | [`campaigns::large_scale_jobs`] | `fig16_21_large_dwrr` |
-//! | Figs. 22–27 | [`campaigns::large_scale_jobs`] | `fig22_27_large_wfq` |
-//! | Table I | [`figures::table1`] | `table1_capabilities` |
-//! | Theorem IV.1 | [`figures::thm_iv1`] | `thm_iv1_validation` |
+//! | Fig. 1 | [`figures::fig01`] | `fig01` |
+//! | Fig. 2 | [`figures::fig02`] | `fig02` |
+//! | Fig. 3 | [`figures::fig03`] | `fig03` |
+//! | Fig. 4 | [`figures::fig04`] | `fig04` |
+//! | Fig. 5 | [`figures::fig05`] | `fig05` |
+//! | Fig. 6 | [`figures::fig06`] | `fig06` |
+//! | Fig. 7 | [`figures::fig07`] | `fig07` |
+//! | Fig. 8 | [`figures::fig08`] | `fig08` |
+//! | Fig. 9 | [`figures::fig09`] | `fig09` |
+//! | Fig. 10 | [`figures::fig10`] | `fig10` |
+//! | Figs. 11/12 | [`figures::fig11_12`] | `fig11_12` |
+//! | Fig. 13 | [`figures::fig13`] | `fig13` |
+//! | Fig. 14 | [`figures::fig14`] | `fig14` |
+//! | Fig. 15 | [`figures::fig15`] | `fig15` |
+//! | Figs. 16–21 | [`campaigns::large_scale_jobs`] | `large-scale-dwrr` |
+//! | Figs. 22–27 | [`campaigns::large_scale_jobs`] | `large-scale-wfq` |
+//! | Table I | [`figures::table1`] | `table1` |
+//! | Theorem IV.1 | [`figures::thm_iv1`] | `thm_iv1` |
 //!
 //! Beyond the paper, [`extensions`] adds the per-service-pool violation
 //! experiment (§II-A's untested claim), threshold-sensitivity ablations
 //! for PMSB and PMSB(e), a RED-ramp comparison, and the web-search
-//! workload (binaries `ext_*` / `ablation_*`).
+//! workload (scenarios `ext_*` / `ablation_*`).
 //!
 //! Experiment functions write their human-readable report into a
 //! `&mut String` and return structured results. The [`campaigns`]
-//! module wraps everything as [`pmsb_harness`] jobs: `all_experiments`
-//! (and the other campaign binaries) fan cells across `--jobs N`
-//! workers, persist one JSONL record per job under
-//! `results/<campaign>/`, and resume completed jobs for free on rerun.
-//! All binaries accept `--quick` (shorter runs for smoke-testing);
-//! [`micro`] holds the self-timed micro-benchmarks (`microbench`).
+//! module wraps everything as [`pmsb_harness`] jobs: `pmsb-sim campaign
+//! NAME` fans cells across `--jobs N` workers, persists one JSONL record
+//! per job under `results/<campaign>/`, and resumes completed jobs for
+//! free on rerun; `--quick` shortens every run for smoke-testing.
+//! [`micro`] holds the self-timed micro-benchmarks (the `microbench`
+//! binary).
 
 pub mod buffers;
 pub mod campaigns;

@@ -29,9 +29,11 @@ use pmsb_netsim::experiment::{Experiment, FlowDesc, MarkingConfig};
 use pmsb_netsim::packet::PacketKind;
 use pmsb_netsim::transport::{Receiver as _, Sender as _, TransportReceiver, TransportSender};
 use pmsb_sched::{Dwrr, HierSpWfq, MultiQueue, SchedItem, Scheduler, StrictPriority, Wfq, Wrr};
+use pmsb_simcore::lp::LpRunProfile;
 use pmsb_simcore::{EventQueue, HeapQueue, SimTime};
 
 use crate::outln;
+use crate::util::SimOpts;
 
 /// Timing of one benchmark case.
 #[derive(Debug, Clone)]
@@ -374,23 +376,13 @@ fn small_sim_cases(out: &mut String, iters: u32, samples: u32) -> Vec<CaseResult
     .collect()
 }
 
-/// The conservative-protocol profile of the last sharded run in
-/// [`parallel_cases`] (the `threads_4` case). `report::derive_metrics`
-/// reads this to surface `derived.parallel.*` without re-running the
-/// cell; `None` until the parallel cases have run in this process.
-static PARALLEL_PROFILE: std::sync::Mutex<Option<pmsb_simcore::lp::LpRunProfile>> =
-    std::sync::Mutex::new(None);
-
-/// The profile captured after the `large_scale_parallel/threads_4`
-/// benchmark case, if the parallel cases ran in this process.
-pub fn parallel_profile() -> Option<pmsb_simcore::lp::LpRunProfile> {
-    PARALLEL_PROFILE.lock().expect("profile lock").clone()
-}
-
 /// Large-scale leaf–spine cell at `sim_threads` shards: the workload
 /// the parallel runtime exists for (one 48-host fabric, paper flow
 /// mix). `quick` shrinks the flow count so the smoke suite stays fast.
-fn parallel_cases(out: &mut String, quick: bool, samples: u32) -> Vec<CaseResult> {
+/// Also returns the conservative-protocol profile of the last sharded
+/// run (a `threads_4` sample), from which `report::derive_metrics`
+/// reports `derived.parallel.*` without re-running the cell.
+fn parallel_cases(out: &mut String, quick: bool, samples: u32) -> (Vec<CaseResult>, LpRunProfile) {
     let num_flows = if quick { 60 } else { 600 };
     let results = [1usize, 2, 4]
         .into_iter()
@@ -414,7 +406,10 @@ fn parallel_cases(out: &mut String, quick: bool, samples: u32) -> Vec<CaseResult
                         0.6,
                         num_flows,
                         42,
-                        threads,
+                        &SimOpts {
+                            sim_threads: threads,
+                            ..SimOpts::default()
+                        },
                     );
                     black_box(row.completed);
                 },
@@ -424,8 +419,7 @@ fn parallel_cases(out: &mut String, quick: bool, samples: u32) -> Vec<CaseResult
     // The last sharded run above was a `threads_4` sample (`threads_1`
     // takes the sequential path and never touches the profile), so the
     // process-wide last-run profile describes exactly that case.
-    *PARALLEL_PROFILE.lock().expect("profile lock") = Some(pmsb_simcore::lp::last_run_profile());
-    results
+    (results, pmsb_simcore::lp::last_run_profile())
 }
 
 /// Streaming fat-tree cell through the slab flow state: a k=4 fabric
@@ -461,8 +455,7 @@ fn hyperscale_cases(out: &mut String, quick: bool, samples: u32) -> Vec<CaseResu
                 4,
                 total_flows,
                 42,
-                1,
-                pmsb_netsim::EngineKind::Packet,
+                &SimOpts::default(),
             );
             black_box(row.completed);
         },
@@ -501,8 +494,12 @@ fn fluid_cases(out: &mut String, quick: bool, samples: u32) -> Vec<CaseResult> {
     ]
     .into_iter()
     .map(|(label, engine)| {
+        let opts = SimOpts {
+            engine,
+            ..SimOpts::default()
+        };
         run_case(out, label, 1, samples, || {
-            let row = crate::hyperscale::run_cell(&scheme, &pattern, 4, total_flows, 42, 1, engine);
+            let row = crate::hyperscale::run_cell(&scheme, &pattern, 4, total_flows, 42, &opts);
             black_box(row.completed);
         })
     })
@@ -529,8 +526,9 @@ fn fluid_cases(out: &mut String, quick: bool, samples: u32) -> Vec<CaseResult> {
 
 /// Runs the whole micro-benchmark suite, appending a
 /// `case,mean_ns,best_ns` CSV to `out`. `quick` shrinks iteration
-/// counts for smoke runs.
-pub fn run_all(out: &mut String, quick: bool) -> Vec<CaseResult> {
+/// counts for smoke runs. Returns the timed cases and the profile of the
+/// last sharded `large_scale_parallel/threads_4` run.
+pub fn run_all(out: &mut String, quick: bool) -> (Vec<CaseResult>, LpRunProfile) {
     let (fast_iters, slow_iters, samples) = if quick { (200, 2, 2) } else { (2_000, 10, 5) };
     outln!(out, "case,mean_ns,best_ns");
     let mut results = Vec::new();
@@ -539,10 +537,11 @@ pub fn run_all(out: &mut String, quick: bool) -> Vec<CaseResult> {
     results.extend(event_queue_cases(out, fast_iters, samples));
     results.extend(transport_cases(out, slow_iters, samples));
     results.extend(small_sim_cases(out, slow_iters, samples));
-    results.extend(parallel_cases(out, quick, samples));
+    let (parallel, profile) = parallel_cases(out, quick, samples);
+    results.extend(parallel);
     results.extend(hyperscale_cases(out, quick, samples));
     results.extend(fluid_cases(out, quick, samples));
-    results
+    (results, profile)
 }
 
 #[cfg(test)]
@@ -552,7 +551,7 @@ mod tests {
     #[test]
     fn quick_suite_times_every_case() {
         let mut out = String::new();
-        let results = run_all(&mut out, true);
+        let (results, _) = run_all(&mut out, true);
         assert_eq!(results.len(), 5 + 5 + 4 + 3 + 4 + 3 + 1 + 4);
         for r in &results {
             assert!(

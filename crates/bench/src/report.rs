@@ -19,10 +19,12 @@ use std::time::Instant;
 
 use pmsb_harness::{Campaign, Job, Record, RunOptions};
 use pmsb_netsim::experiment::{Experiment, FlowDesc, MarkingConfig};
+use pmsb_simcore::lp::LpRunProfile;
 use pmsb_simcore::rng::SimRng;
 use pmsb_simcore::{EventQueue, HeapQueue, SimTime};
 
 use crate::micro::CaseResult;
+use crate::util::SimOpts;
 
 /// A baseline entry parsed from a previous run's CSV report.
 #[derive(Debug, Clone)]
@@ -223,8 +225,7 @@ pub struct DerivedMetrics {
 /// How the conservative protocol spent the `large_scale_parallel/
 /// threads_4` benchmark case (the sharded paper fabric), from the
 /// [`pmsb_simcore::lp::LpRunProfile`] captured right after that case.
-/// All zeros when the parallel cases did not run in this process.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ParallelProtocol {
     /// Conservative windows the run stepped (fewer is better: each
     /// window costs two barriers).
@@ -261,7 +262,6 @@ pub struct K24Smoke {
 /// Runs the k=24 streaming smoke pass (quick: 5 000 flows; full:
 /// 50 000) and times it.
 pub fn k24_smoke(quick: bool) -> K24Smoke {
-    use pmsb_netsim::EngineKind;
     use pmsb_workload::PatternSpec;
     let k = 24usize;
     let flows = if quick { 5_000 } else { 50_000 };
@@ -279,8 +279,7 @@ pub fn k24_smoke(quick: bool) -> K24Smoke {
         k,
         flows,
         42,
-        crate::util::sim_threads(),
-        EngineKind::Packet,
+        &SimOpts::default(),
     );
     let secs = t0.elapsed().as_secs_f64();
     K24Smoke {
@@ -375,8 +374,10 @@ pub fn hyperscale_run(quick: bool) -> HyperscaleRun {
             k,
             flows,
             42,
-            crate::util::sim_threads(),
-            engine,
+            &SimOpts {
+                engine,
+                ..SimOpts::default()
+            },
         );
         (row, t0.elapsed().as_secs_f64())
     };
@@ -479,9 +480,15 @@ fn find_best(results: &[CaseResult], label: &str) -> Option<f64> {
         .map(|r| r.best_nanos)
 }
 
-/// Computes the derived hot-path metrics from the timed case results.
-/// `quick` sizes the representative hyperscale run.
-pub fn derive_metrics(results: &[CaseResult], quick: bool) -> DerivedMetrics {
+/// Computes the derived hot-path metrics from the timed case results
+/// and the `threads_4` case's protocol profile (both from
+/// [`crate::micro::run_all`]). `quick` sizes the representative
+/// hyperscale run.
+pub fn derive_metrics(
+    results: &[CaseResult],
+    parallel: &LpRunProfile,
+    quick: bool,
+) -> DerivedMetrics {
     let (events, deliveries) = dumbbell_counts();
     // push_pop_1k performs 1000 pushes + 1000 pops per iteration.
     let eq_ops = find_best(results, "event_queue/push_pop_1k")
@@ -502,15 +509,13 @@ pub fn derive_metrics(results: &[CaseResult], quick: bool) -> DerivedMetrics {
         campaign_wall_clock_ms: campaign_wall_clock_ms(),
         parallel_speedup_t2: speedup_vs_seq("large_scale_parallel/threads_2"),
         parallel_speedup_t4: speedup_vs_seq("large_scale_parallel/threads_4"),
-        parallel: crate::micro::parallel_profile()
-            .map(|p| ParallelProtocol {
-                windows: p.windows,
-                messages: p.messages,
-                msgs_per_window: p.msgs_per_window(),
-                barrier_wait_share: p.barrier_wait_share(),
-                lp_imbalance: p.lp_imbalance(),
-            })
-            .unwrap_or_default(),
+        parallel: ParallelProtocol {
+            windows: parallel.windows,
+            messages: parallel.messages,
+            msgs_per_window: parallel.msgs_per_window(),
+            barrier_wait_share: parallel.barrier_wait_share(),
+            lp_imbalance: parallel.lp_imbalance(),
+        },
         hyperscale: hyperscale_run(quick),
         k24: k24_smoke(quick),
     }
@@ -701,6 +706,7 @@ pub fn render_json(
 /// the baseline text is a JSON document of the wrong schema.
 pub fn build(
     results: &[CaseResult],
+    parallel: &LpRunProfile,
     baseline_text: Option<&str>,
     quick: bool,
 ) -> Result<String, String> {
@@ -708,7 +714,7 @@ pub fn build(
         .map(parse_baseline)
         .transpose()?
         .unwrap_or_default();
-    let derived = derive_metrics(results, quick);
+    let derived = derive_metrics(results, parallel, quick);
     let determinism = determinism_check();
     Ok(render_json(
         results,
@@ -840,6 +846,22 @@ mod tests {
                 .len(),
             1
         );
+    }
+
+    #[test]
+    fn every_committed_report_parses_as_a_baseline() {
+        for (name, text) in [
+            ("BENCH_pr2.json", include_str!("../../../BENCH_pr2.json")),
+            ("BENCH_pr4.json", include_str!("../../../BENCH_pr4.json")),
+            ("BENCH_pr6.json", include_str!("../../../BENCH_pr6.json")),
+            ("BENCH_pr7.json", include_str!("../../../BENCH_pr7.json")),
+            ("BENCH_pr8.json", include_str!("../../../BENCH_pr8.json")),
+            ("BENCH_pr9.json", include_str!("../../../BENCH_pr9.json")),
+            ("BENCH_pr10.json", include_str!("../../../BENCH_pr10.json")),
+        ] {
+            let cases = parse_baseline(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!cases.is_empty(), "{name} holds no cases");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use pmsb_simcore::rng::SimRng;
 use pmsb_workload::traffic::TrafficSpec;
 
 use crate::outln;
-use crate::util::banner;
+use crate::util::{banner, SimOpts};
 
 /// Fabric shape, shared with the fault sweep: 2 leaves x 2 spines x
 /// 4 hosts per leaf.
@@ -89,8 +89,8 @@ pub struct TransportRow {
     pub timeouts: u64,
 }
 
-/// Runs one `(transport, scheme)` cell: the paper flow mix at moderate
-/// load over the small leaf–spine.
+/// Runs one `(transport, scheme)` cell under `opts`: the paper flow mix
+/// at moderate load over the small leaf–spine.
 pub fn run_cell(
     kind: TransportKind,
     scheme: &'static str,
@@ -98,17 +98,17 @@ pub fn run_cell(
     pmsbe: Option<u64>,
     num_flows: usize,
     seed: u64,
+    opts: &SimOpts,
 ) -> TransportRow {
     let num_hosts = LEAVES * HOSTS_PER_LEAF;
     let spec = TrafficSpec::paper_large_scale(num_hosts, 0.3);
     let mut rng = SimRng::seed_from(seed);
     let flows = spec.generate(num_flows, &mut rng);
-    let mut e = Experiment::leaf_spine(LEAVES, SPINES, HOSTS_PER_LEAF)
-        .marking(marking)
-        .transport_kind(kind)
-        .buffer(crate::util::buffer_policy())
-        .sim_threads(crate::util::sim_threads())
-        .partition(crate::util::partition());
+    let mut e = opts.apply(
+        Experiment::leaf_spine(LEAVES, SPINES, HOSTS_PER_LEAF)
+            .marking(marking)
+            .transport_kind(kind),
+    );
     if let Some(thr) = pmsbe {
         e = e.pmsbe_rtt_threshold_nanos(thr);
     }
@@ -305,6 +305,7 @@ mod tests {
                 None,
                 40,
                 7,
+                &SimOpts::default(),
             );
             assert!(row.completed > 0, "{kind:?} completes flows");
             assert!(row.marks_seen > 0, "{kind:?} senders see marks");
@@ -321,6 +322,7 @@ mod tests {
             Some(85_200),
             40,
             7,
+            &SimOpts::default(),
         );
         assert!(row.marks_seen > 0);
         assert!(

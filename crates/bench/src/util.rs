@@ -1,5 +1,5 @@
-//! Shared experiment plumbing: CLI flags, weighted-share runs, report
-//! formatting.
+//! Shared experiment plumbing: simulation options, weighted-share runs,
+//! report formatting.
 //!
 //! Experiment functions write their human-readable report into a
 //! `&mut String` (via [`outln!`](crate::outln)) instead of stdout, so
@@ -8,6 +8,7 @@
 
 use pmsb_metrics::Summary;
 use pmsb_netsim::experiment::{Experiment, FlowDesc, MarkingConfig, SchedulerConfig};
+use pmsb_netsim::{BufferPolicy, EngineKind, PartitionStrategy, RegionSpec};
 
 /// Appends one formatted line to an experiment's report buffer —
 /// `println!`, but into a `String`.
@@ -22,127 +23,52 @@ macro_rules! outln {
     }};
 }
 
-/// `true` when `--quick` was passed: shorten the run for smoke tests.
-pub fn quick_flag() -> bool {
-    std::env::args().any(|a| a == "--quick")
+/// How a campaign's simulation cells run: the options `pmsb-sim
+/// campaign` parses once (`--sim-threads`, `--partition`, `--engine`,
+/// `--buffer`) and every job closure captures by value. `Default` is
+/// one thread, traffic partition, the packet engine, the auto region
+/// and static buffers — the golden-record configuration.
+///
+/// Thread count and partition never enter a job key: records are
+/// byte-identical across both, so result stores are shared between
+/// them. Engine, region and buffer policy *do* change results, so the
+/// campaigns tag non-default values with `engine`, `region` and
+/// `buffer` job parameters and default jobs keep their historical keys.
+#[derive(Debug, Clone)]
+pub struct SimOpts {
+    /// Worker threads per simulation run (1 = sequential).
+    pub sim_threads: usize,
+    /// How switches map to threads when `sim_threads > 1`.
+    pub partition: PartitionStrategy,
+    /// Simulation engine.
+    pub engine: EngineKind,
+    /// Hot-region spec; read by the regional engine only.
+    pub region: RegionSpec,
+    /// Switch buffer allocation policy.
+    pub buffer: BufferPolicy,
 }
 
-/// Worker threads per simulation run (`--sim-threads N`). A process-wide
-/// setting rather than a job parameter: thread count must never enter a
-/// campaign job key, because the records are byte-identical across
-/// thread counts and resumable result stores are shared between them.
-static SIM_THREADS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
-
-/// Sets the intra-run shard count used by subsequently started
-/// experiment cells (1 = sequential).
-pub fn set_sim_threads(n: usize) {
-    SIM_THREADS.store(n.max(1), std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current intra-run shard count (defaults to 1, sequential).
-pub fn sim_threads() -> usize {
-    SIM_THREADS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Partition strategy for sharded runs (`--partition
-/// traffic|contiguous`). Process-wide like [`sim_threads`], and for the
-/// same reason kept out of campaign job keys: the conservative protocol
-/// is byte-identical under any partition, so the records are shared
-/// across strategies.
-static PARTITION: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Sets the partition strategy used by subsequently started experiment
-/// cells.
-pub fn set_partition(strategy: pmsb_netsim::PartitionStrategy) {
-    use pmsb_netsim::PartitionStrategy;
-    let v = match strategy {
-        PartitionStrategy::Traffic => 0,
-        PartitionStrategy::Contiguous => 1,
-    };
-    PARTITION.store(v, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current partition strategy (defaults to traffic-aware).
-pub fn partition() -> pmsb_netsim::PartitionStrategy {
-    use pmsb_netsim::PartitionStrategy;
-    match PARTITION.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => PartitionStrategy::Contiguous,
-        _ => PartitionStrategy::Traffic,
+impl Default for SimOpts {
+    fn default() -> Self {
+        SimOpts {
+            sim_threads: 1,
+            partition: PartitionStrategy::default(),
+            engine: EngineKind::Packet,
+            region: RegionSpec::Auto,
+            buffer: BufferPolicy::Static,
+        }
     }
 }
 
-/// Simulation engine for subsequently started experiment cells
-/// (`--engine packet|fluid|hybrid`). Process-wide like
-/// [`sim_threads`]; unlike thread count the engine *does* change
-/// results, so campaigns tag non-packet records with an `engine` job
-/// parameter to keep result stores disjoint.
-static ENGINE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Sets the engine used by subsequently started experiment cells.
-pub fn set_engine(engine: pmsb_netsim::EngineKind) {
-    use pmsb_netsim::EngineKind;
-    let v = match engine {
-        EngineKind::Packet => 0,
-        EngineKind::Fluid => 1,
-        EngineKind::Hybrid => 2,
-        EngineKind::Regional => 3,
-    };
-    ENGINE.store(v, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current simulation engine (defaults to the packet engine).
-pub fn engine() -> pmsb_netsim::EngineKind {
-    use pmsb_netsim::EngineKind;
-    match ENGINE.load(std::sync::atomic::Ordering::Relaxed) {
-        1 => EngineKind::Fluid,
-        2 => EngineKind::Hybrid,
-        3 => EngineKind::Regional,
-        _ => EngineKind::Packet,
+impl SimOpts {
+    /// Sets every option on `e`.
+    pub fn apply(&self, e: Experiment) -> Experiment {
+        e.buffer(self.buffer)
+            .sim_threads(self.sim_threads)
+            .partition(self.partition)
+            .engine(self.engine)
+            .region(self.region.clone())
     }
-}
-
-/// Hot-region spec for the regional engine (`--engine
-/// regional[:auto|:ports=LIST]`). Process-wide like [`engine`]; a
-/// `Mutex` rather than an atomic because the spec carries a port list
-/// (same reasoning as [`buffer_policy`]). Ignored by the other engines.
-static REGION: std::sync::Mutex<pmsb_netsim::RegionSpec> =
-    std::sync::Mutex::new(pmsb_netsim::RegionSpec::Auto);
-
-/// Sets the region spec used by subsequently started regional cells.
-pub fn set_region(spec: pmsb_netsim::RegionSpec) {
-    *REGION.lock().unwrap() = spec;
-}
-
-/// The current region spec (defaults to `Auto`, scout-pass selection).
-pub fn region() -> pmsb_netsim::RegionSpec {
-    REGION.lock().unwrap().clone()
-}
-
-/// Switch buffer allocation policy for subsequently started experiment
-/// cells (`--buffer static|dt:ALPHA|delay[:MICROS]`). Process-wide like
-/// [`engine`], and like the engine it *does* change results, so
-/// campaigns tag non-static records with a `buffer` job parameter to
-/// keep result stores disjoint. A `Mutex` rather than an atomic because
-/// the policy carries an `f64`/`u64` payload; it is read once per cell,
-/// never on a hot path.
-static BUFFER: std::sync::Mutex<pmsb_netsim::BufferPolicy> =
-    std::sync::Mutex::new(pmsb_netsim::BufferPolicy::Static);
-
-/// Sets the buffer policy used by subsequently started experiment cells.
-pub fn set_buffer_policy(policy: pmsb_netsim::BufferPolicy) {
-    *BUFFER.lock().unwrap() = policy;
-}
-
-/// The current buffer policy (defaults to `Static`, private per-port
-/// buffers — the golden-record behaviour).
-pub fn buffer_policy() -> pmsb_netsim::BufferPolicy {
-    *BUFFER.lock().unwrap()
-}
-
-/// `true` when `--series` was passed: figure binaries additionally dump
-/// raw time series (occupancy vs time) for plotting.
-pub fn series_flag() -> bool {
-    std::env::args().any(|a| a == "--series")
 }
 
 /// A two-queue weighted-share outcome at a dumbbell bottleneck.

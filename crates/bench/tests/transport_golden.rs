@@ -12,6 +12,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use pmsb_bench::util::SimOpts;
 use pmsb_harness::{RunOptions, RECORDS_FILE};
 
 fn golden_path() -> PathBuf {
@@ -23,14 +24,15 @@ fn golden_path() -> PathBuf {
 
 #[test]
 fn static_buffer_reproduces_pre_pool_transport_records() {
+    let opts = SimOpts::default();
     assert_eq!(
-        pmsb_bench::util::buffer_policy(),
+        opts.buffer,
         pmsb_netsim::BufferPolicy::Static,
         "the gate only means something under the default policy"
     );
     let root = std::env::temp_dir().join(format!("pmsb-transport-golden-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
-    let campaign = pmsb_bench::campaigns::campaign_by_name("transport", true).unwrap();
+    let campaign = pmsb_bench::campaigns::campaign_by_name("transport", true, &opts).unwrap();
     let out = campaign
         .run(&RunOptions {
             jobs: Some(2),

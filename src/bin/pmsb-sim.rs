@@ -22,6 +22,7 @@ use std::process::ExitCode;
 
 use pmsb::profile::PmsbProfile;
 use pmsb::MarkPoint;
+use pmsb_bench::util::SimOpts;
 use pmsb_metrics::fct::SizeClass;
 use pmsb_netsim::experiment::{Experiment, ExperimentResult, FaultSchedule, FlowDesc};
 use pmsb_repro::cli::{
@@ -92,7 +93,9 @@ USAGE:
   everywhere else, DESIGN.md section 13; 'auto' scouts the hot set with
   a deterministic first fluid pass). The fluid/hybrid/regional engines
   do not support fault schedules and ignore --sim-threads (they are
-  single-threaded and deterministic; a one-line note says so).
+  single-threaded and deterministic; a one-line note says so). Of the
+  campaigns only 'hyperscale' takes an engine other than packet; the
+  hyperscale-k24 campaigns pin their own.
 
   --buffer picks the switch buffer allocation (DESIGN.md section 12):
   'static' (default, private per-port buffers), 'dt:ALPHA' (per-switch
@@ -180,72 +183,38 @@ fn run(args: &[String]) -> Result<(), ParseError> {
 /// `pmsb-sim campaign NAME [--quick] [--jobs N] [--results DIR] [--quiet]`:
 /// runs a harness campaign (resumable, parallel) and prints its report.
 fn campaign(args: &[String]) -> Result<(), ParseError> {
-    let (opts, rest) = pmsb_harness::RunOptions::take_flags(args.to_vec()).map_err(ParseError)?;
-    let mut quick = false;
-    let mut name: Option<String> = None;
-    let mut rest = rest.into_iter();
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--sim-threads" => match rest.next() {
-                Some(v) => pmsb_bench::util::set_sim_threads(parse_sim_threads(&v)?),
-                None => {
-                    return Err(ParseError(
-                        "campaign: --sim-threads needs an integer >= 1, or auto".into(),
-                    ))
-                }
-            },
-            "--partition" => match rest.next() {
-                Some(v) => pmsb_bench::util::set_partition(parse_partition(&v)?),
-                None => {
-                    return Err(ParseError(
-                        "campaign: --partition needs traffic|contiguous".into(),
-                    ))
-                }
-            },
-            "--engine" => {
-                match rest.next() {
-                    Some(v) => {
-                        let (kind, region) = parse_engine(&v)?;
-                        pmsb_bench::util::set_engine(kind);
-                        pmsb_bench::util::set_region(region);
-                    }
-                    None => return Err(ParseError(
-                        "campaign: --engine needs packet|fluid|hybrid|regional[:auto|:ports=...]"
-                            .into(),
-                    )),
-                }
-            }
-            "--buffer" => match rest.next() {
-                Some(v) => pmsb_bench::util::set_buffer_policy(parse_buffer(&v)?),
-                None => {
-                    return Err(ParseError(
-                        "campaign: --buffer needs static|dt:ALPHA|delay[:MICROS]".into(),
-                    ))
-                }
-            },
-            other if !other.starts_with("--") && name.is_none() => name = Some(other.to_string()),
-            other => {
-                return Err(ParseError(format!(
-                    "campaign: unexpected argument '{other}'"
-                )))
-            }
-        }
+    let (run_opts, mut rest) =
+        pmsb_harness::RunOptions::take_flags(args.to_vec()).map_err(ParseError)?;
+    let quick = rest.iter().any(|a| a == "--quick");
+    rest.retain(|a| a != "--quick");
+    let (positional, options) = split_options(&rest)?;
+    let sim_keys = ["sim-threads", "partition", "engine", "buffer"];
+    if let Some((key, _)) = options
+        .iter()
+        .find(|(k, _)| !sim_keys.contains(&k.as_str()))
+    {
+        return Err(ParseError(format!(
+            "campaign: unexpected argument '--{key}'"
+        )));
     }
-    let Some(name) = name else {
-        return Err(ParseError(format!(
-            "campaign needs a name: {} or an individual scenario",
-            pmsb_bench::campaigns::CAMPAIGN_NAMES.join(" | ")
-        )));
+    let name = match positional.as_slice() {
+        [name] => name,
+        [] => {
+            return Err(ParseError(format!(
+                "campaign needs a name: {} or an individual scenario",
+                pmsb_bench::campaigns::CAMPAIGN_NAMES.join(" | ")
+            )))
+        }
+        [_, extra, ..] => {
+            return Err(ParseError(format!(
+                "campaign: unexpected argument '{extra}'"
+            )))
+        }
     };
-    let Some(c) = pmsb_bench::campaigns::campaign_by_name(&name, quick) else {
-        return Err(ParseError(format!(
-            "unknown campaign '{name}' (try {} or a scenario like fig08)",
-            pmsb_bench::campaigns::CAMPAIGN_NAMES.join(" | ")
-        )));
-    };
+    let c = pmsb_bench::campaigns::campaign_by_name(name, quick, &sim_opts(&options)?)
+        .map_err(ParseError)?;
     let total = c.len();
-    let result = c.run(&opts).map_err(|e| ParseError(e.to_string()))?;
+    let result = c.run(&run_opts).map_err(|e| ParseError(e.to_string()))?;
     pmsb_bench::campaigns::print_campaign_output(&result);
     if !result.is_success() {
         for f in &result.failures {
@@ -257,6 +226,25 @@ fn campaign(args: &[String]) -> Result<(), ParseError> {
         )));
     }
     Ok(())
+}
+
+/// Parses `--sim-threads`, `--partition`, `--engine` and `--buffer`;
+/// an absent option keeps its [`SimOpts::default`] value.
+fn sim_opts(options: &[(String, String)]) -> Result<SimOpts, ParseError> {
+    let mut opts = SimOpts::default();
+    if let Some(t) = opt(options, "sim-threads") {
+        opts.sim_threads = parse_sim_threads(t)?;
+    }
+    if let Some(p) = opt(options, "partition") {
+        opts.partition = parse_partition(p)?;
+    }
+    if let Some(en) = opt(options, "engine") {
+        (opts.engine, opts.region) = parse_engine(en)?;
+    }
+    if let Some(b) = opt(options, "buffer") {
+        opts.buffer = parse_buffer(b)?;
+    }
+    Ok(opts)
 }
 
 fn apply_common(mut e: Experiment, options: &[(String, String)]) -> Result<Experiment, ParseError> {
@@ -280,13 +268,6 @@ fn apply_common(mut e: Experiment, options: &[(String, String)]) -> Result<Exper
     if let Some(t) = opt(options, "transport") {
         e = e.transport_kind(parse_transport(t)?);
     }
-    if let Some(en) = opt(options, "engine") {
-        let (kind, region) = parse_engine(en)?;
-        e = e.engine(kind).region(region);
-    }
-    if let Some(b) = opt(options, "buffer") {
-        e = e.buffer(parse_buffer(b)?);
-    }
     if let Some(path) = opt(options, "fault-schedule") {
         let text = std::fs::read_to_string(path)
             .map_err(|io| ParseError(format!("cannot read fault schedule '{path}': {io}")))?;
@@ -294,13 +275,7 @@ fn apply_common(mut e: Experiment, options: &[(String, String)]) -> Result<Exper
             .map_err(|e| ParseError(format!("fault schedule '{path}': {e}")))?;
         e = e.faults(schedule);
     }
-    if let Some(t) = opt(options, "sim-threads") {
-        e = e.sim_threads(parse_sim_threads(t)?);
-    }
-    if let Some(p) = opt(options, "partition") {
-        e = e.partition(parse_partition(p)?);
-    }
-    Ok(e)
+    Ok(sim_opts(options)?.apply(e))
 }
 
 /// Validates `e` and runs it until `end_nanos`, so a configuration the

@@ -55,6 +55,74 @@ fn engine_capability_errors_exit_cleanly() {
 }
 
 #[test]
+fn campaign_engine_applies_to_hyperscale_only() {
+    assert_clean_config_error(
+        &["campaign", "transport", "--quick", "--engine", "fluid"],
+        "accepted: packet",
+    );
+    assert_clean_config_error(
+        &[
+            "campaign",
+            "hyperscale-k24-regional",
+            "--quick",
+            "--engine",
+            "regional:ports=0:0",
+        ],
+        "accepted: packet",
+    );
+}
+
+/// A fresh campaign results directory, unique to this test process.
+fn results_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pmsb-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn campaign_rerun_reuses_its_records() {
+    let dir = results_dir("resume");
+    let args = [
+        "campaign",
+        "fig02",
+        "--quick",
+        "--results",
+        dir.to_str().unwrap(),
+    ];
+    let (ok, first, stderr) = pmsb_sim(&args);
+    assert!(ok, "{stderr}");
+    let (ok, second, stderr) = pmsb_sim(&args);
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains("0 run, 1 reused"), "{stderr}");
+    assert_eq!(first, second);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn explicit_region_does_not_reuse_auto_region_records() {
+    let dir = results_dir("region");
+    let run = |engine: &str| {
+        pmsb_sim(&[
+            "campaign",
+            "hyperscale",
+            "--quick",
+            "--jobs",
+            "2",
+            "--engine",
+            engine,
+            "--results",
+            dir.to_str().unwrap(),
+        ])
+    };
+    let (ok, _, stderr) = run("regional");
+    assert!(ok, "{stderr}");
+    let (ok, _, stderr) = run("regional:ports=0:0,0:1,4:0");
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains("12 run, 0 reused"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn runs_report_their_engine_path_on_stderr() {
     let (ok, stdout, stderr) = pmsb_sim(&[
         "fabric",
