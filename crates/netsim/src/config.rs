@@ -405,10 +405,11 @@ pub enum EcnResponse {
 
 /// Which end-host transport the simulation runs.
 ///
-/// Selects the concrete state machine behind
+/// Selects the ECN reaction of the one TCP state machine,
 /// [`TransportSender`](crate::transport::TransportSender) /
-/// [`TransportReceiver`](crate::transport::TransportReceiver); enum
-/// dispatch keeps the per-event hot path monomorphic.
+/// [`TransportReceiver`](crate::transport::TransportReceiver), together
+/// with [`TransportConfig::ecn_response`] (which only DCTCP reads); the
+/// loss machinery is the same for every kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// DCTCP: per-window `alpha` EWMA with gentle multiplicative decrease.
@@ -446,12 +447,14 @@ pub struct TransportConfig {
     pub rto_init_nanos: u64,
     /// Socket send-buffer bound on the congestion window, bytes.
     pub max_cwnd_bytes: u64,
-    /// Congestion response to ECN marks.
+    /// Congestion response to ECN marks under [`TransportKind::Dctcp`];
+    /// NewReno always reacts per RFC 3168.
     pub ecn_response: EcnResponse,
     /// Receiver ACK coalescing: ACK every `m` data packets (1 = ACK every
-    /// packet). With `m > 1` the receiver runs the DCTCP delayed-ACK ECE
+    /// packet). With `m > 1` a DCTCP receiver runs the delayed-ACK ECE
     /// state machine: any change of the observed CE state forces an
-    /// immediate ACK so the mark fraction survives coalescing.
+    /// immediate ACK so the mark fraction survives coalescing. A NewReno
+    /// receiver's ECE latch carries the mark through coalescing instead.
     pub ack_every_packets: u64,
     /// Delayed-ACK flush timeout, nanoseconds (only used when
     /// `ack_every_packets > 1`).

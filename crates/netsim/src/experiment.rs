@@ -442,13 +442,45 @@ impl Experiment {
         self.flows.extend(flows);
     }
 
-    /// Checks, without running anything, that the configured engine
-    /// supports what the experiment asks of it (fault schedules, shared
-    /// buffer policies) and that every explicit region port exists in the
-    /// topology. [`Experiment::run_until_nanos`] panics with the same
-    /// error; callers that take configuration from users should call
-    /// this first.
+    /// Checks, without running anything, that the fabric can carry
+    /// traffic (a dumbbell has a sender, the scheduler has queues with
+    /// positive weights, links have a rate, every static flow's
+    /// endpoints exist), that the configured engine supports what the
+    /// experiment asks of it (fault schedules, shared buffer policies)
+    /// and that every explicit region port exists in the topology.
+    /// [`Experiment::run_until_nanos`] panics with the same error;
+    /// callers that take configuration from users should call this
+    /// first.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.topology == (Topology::Dumbbell { num_senders: 0 }) {
+            return Err(ConfigError::new(
+                "a dumbbell with 0 senders carries no traffic (accepted: at least 1 sender)"
+                    .to_string(),
+            ));
+        }
+        let weights = self.switch_cfg.scheduler.weights();
+        if weights.is_empty() || weights.contains(&0) {
+            return Err(ConfigError::new(format!(
+                "scheduler weights {weights:?} cannot serve every queue \
+                 (accepted: at least one queue, every weight above 0)"
+            )));
+        }
+        if self.link_rate_bps == 0 {
+            return Err(ConfigError::new(
+                "links of 0 bps carry no traffic (accepted: a link rate above 0)".to_string(),
+            ));
+        }
+        let hosts = self.num_hosts();
+        if let Some(f) = self
+            .flows
+            .iter()
+            .find(|f| f.src_host.max(f.dst_host) >= hosts)
+        {
+            return Err(ConfigError::new(format!(
+                "flow {}>{} names a host the topology lacks (accepted: hosts 0..{hosts})",
+                f.src_host, f.dst_host
+            )));
+        }
         crate::engine::check_capabilities(self)?;
         if let (EngineKind::Regional, RegionSpec::Ports(ports)) = (self.engine, &self.region) {
             let switches = self.topology.num_switches();
@@ -656,6 +688,25 @@ mod tests {
             .region(RegionSpec::Ports(vec![(999, 0)]))
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_fabrics_that_cannot_carry_traffic() {
+        let err = |e: Experiment| e.validate().unwrap_err().to_string();
+        assert!(err(Experiment::dumbbell(0, 2)).contains("at least 1 sender"));
+        let no_queues = "accepted: at least one queue, every weight above 0";
+        assert!(err(Experiment::dumbbell(2, 0)).contains(no_queues));
+        let zero_weight = Experiment::dumbbell(2, 2).scheduler(SchedulerConfig::Wfq {
+            weights: vec![1, 0],
+        });
+        assert!(err(zero_weight).contains(no_queues));
+        assert!(err(Experiment::dumbbell(2, 2).link_rate_gbps(0)).contains("a link rate above 0"));
+        let mut stray = Experiment::dumbbell(2, 2);
+        stray.add_flow(FlowDesc::bulk(0, 99, 0, 1_000));
+        assert!(err(stray).contains("flow 0>99"));
+        let mut fine = Experiment::dumbbell(2, 2);
+        fine.add_flow(FlowDesc::bulk(1, 2, 0, 1_000));
+        assert!(fine.validate().is_ok());
     }
 
     #[test]

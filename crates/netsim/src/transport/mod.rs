@@ -1,44 +1,36 @@
-//! Pluggable transport endpoints: the [`Sender`]/[`Receiver`] contract,
-//! the concrete state machines, and the enum-dispatched wrappers the
-//! simulator drives.
+//! The packet-level transport endpoints: the [`Sender`]/[`Receiver`]
+//! contract and the one TCP state machine behind it (`tcp.rs`).
 //!
 //! The endpoints are pure state machines: methods consume events and
-//! return [`SenderOutput`] describing packets to emit and timers to arm,
-//! so every transport is unit-testable without the simulator. Two
-//! implementations ship today:
+//! return [`SenderOutput`]/[`ReceiverOutput`] describing packets to emit
+//! and timers to arm, so they are unit-testable without the simulator.
+//! The world stores one [`TransportSender`] and one [`TransportReceiver`]
+//! per flow and drives them through the traits.
 //!
-//! * [`dctcp`] — DCTCP (Alizadeh et al.): per-window ECN fraction
-//!   `alpha` with gentle multiplicative decrease, the delayed-ACK ECE
-//!   state machine, NewReno-style loss recovery;
-//! * [`newreno`] — TCP NewReno with the classic RFC 3168 ECN response:
-//!   halve the window at most once per RTT on ECN-Echo, signal CWR,
-//!   no `alpha` estimator.
+//! Slow start, congestion avoidance, fast retransmit with NewReno
+//! partial ACKs, RTO backoff, loss-episode accounting, app-rate pacing
+//! and receiver reassembly are shared. Only the ECN reaction differs; it
+//! is chosen once, at construction, from
+//! [`TransportConfig::kind`](crate::config::TransportConfig::kind) and
+//! [`TransportConfig::ecn_response`](crate::config::TransportConfig::ecn_response):
 //!
-//! The simulator stores [`TransportSender`]/[`TransportReceiver`] —
-//! enums over the concrete machines selected by
-//! [`TransportKind`](crate::config::TransportKind) — rather than trait
-//! objects, so the per-event hot path stays monomorphic (no vtable
-//! dispatch on the ACK path).
+//! | `kind`, `ecn_response` | Sender reaction | Receiver echo |
+//! |---|---|---|
+//! | `Dctcp`, `Dctcp` | per-window `alpha` EWMA, `cwnd ← cwnd·(1 − α/2)` at window end | CE per packet; a CE change forces an immediate ACK |
+//! | `Dctcp`, `Classic` | the same per-window bookkeeping, but halves | as DCTCP |
+//! | `NewReno`, any | RFC 3168: halve on the first ECN-Echo at most once per RTT, stamp CWR on the next data segment | ECE latched from CE until CWR |
 //!
 //! **PMSB(e)** (Algorithm 2 of the paper) is an end-host rule about
-//! *which marks to honour*, not a congestion-control algorithm — so it
-//! composes in front of any transport rather than living inside one:
-//! [`TransportSender`] applies
-//! [`SelectiveBlindness`](pmsb::endpoint::SelectiveBlindness) to the
-//! ECN-Echo flag (counting [`SenderStats::marks_seen`] and
-//! [`SenderStats::marks_ignored`]) before the inner state machine ever
-//! sees the ACK. DCTCP and NewReno get selective blindness for free,
-//! and a third transport would too.
+//! *which marks to honour*, not a congestion-control law: the sender
+//! applies [`SelectiveBlindness`](pmsb::endpoint::SelectiveBlindness) to
+//! each ACK's ECN-Echo (counting [`SenderStats::marks_seen`] and
+//! [`SenderStats::marks_ignored`]) before the reaction sees it, whatever
+//! the reaction.
 
-pub mod dctcp;
-pub mod newreno;
+mod tcp;
 
-pub use dctcp::{DctcpReceiver, DctcpSender};
-pub use newreno::{NewRenoReceiver, NewRenoSender};
+pub use tcp::{TransportReceiver, TransportSender};
 
-use pmsb::endpoint::SelectiveBlindness;
-
-use crate::config::{TransportConfig, TransportKind};
 use crate::packet::Packet;
 
 /// A timer (re)arm request: fire `RtoTimer`/`AppResume` with this
@@ -127,9 +119,6 @@ pub trait Sender {
     fn rtt_samples(&self) -> Option<&[u64]>;
     /// Per-flow counters.
     fn stats(&self) -> SenderStats;
-    /// Mutable access to the counters, for composition layers (the
-    /// PMSB(e) wrapper accounts filtered marks here).
-    fn stats_mut(&mut self) -> &mut SenderStats;
     /// The flow identifier.
     fn flow_id(&self) -> u64;
     /// Total bytes this flow transfers (`u64::MAX` = unbounded).
@@ -138,8 +127,6 @@ pub trait Sender {
     fn start_nanos(&self) -> u64;
     /// `true` once every byte has been acknowledged.
     fn is_completed(&self) -> bool;
-    /// Current congestion window in bytes (for tests/diagnostics).
-    fn cwnd_bytes(&self) -> f64;
 }
 
 /// The receiver half of a transport: reassembles segments and generates
@@ -151,460 +138,4 @@ pub trait Receiver {
     /// Handles the delayed-ACK flush timer; emits the pending ACK if the
     /// generation is current and packets are still unacknowledged.
     fn on_delack_timer(&mut self, gen: u64) -> Option<Packet>;
-    /// Highest in-order byte received so far.
-    fn rcv_nxt(&self) -> u64;
-}
-
-/// The enum the wrapper dispatches over; kept private so call sites go
-/// through [`TransportSender`]'s PMSB(e) composition.
-#[derive(Debug)]
-enum SenderImpl {
-    Dctcp(DctcpSender),
-    NewReno(NewRenoSender),
-}
-
-/// The sender the simulator stores per flow: one of the concrete
-/// transport machines (enum dispatch, monomorphic hot path) behind the
-/// PMSB(e) selective-blindness filter.
-///
-/// [`Sender::on_ack`] applies Algorithm 2 *before* the inner transport
-/// sees the ACK: a mark whose measured RTT is below the threshold is a
-/// victim of per-port marking, not congestion, so its ECN-Echo flag is
-/// cleared (and counted in [`SenderStats::marks_ignored`]).
-#[derive(Debug)]
-pub struct TransportSender {
-    pmsbe: Option<SelectiveBlindness>,
-    inner: SenderImpl,
-}
-
-impl TransportSender {
-    /// Creates the sender selected by
-    /// [`TransportConfig::kind`] for a flow of `size_bytes` (use
-    /// [`u64::MAX`] for a long-lived flow) starting at `start_nanos`.
-    /// `app_rate_bps` caps the application's offered rate.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        flow_id: u64,
-        src_host: usize,
-        dst_host: usize,
-        service: usize,
-        size_bytes: u64,
-        app_rate_bps: Option<u64>,
-        start_nanos: u64,
-        config: &TransportConfig,
-    ) -> Self {
-        let inner = match config.kind {
-            TransportKind::Dctcp => SenderImpl::Dctcp(DctcpSender::new(
-                flow_id,
-                src_host,
-                dst_host,
-                service,
-                size_bytes,
-                app_rate_bps,
-                start_nanos,
-                config,
-            )),
-            TransportKind::NewReno => SenderImpl::NewReno(NewRenoSender::new(
-                flow_id,
-                src_host,
-                dst_host,
-                service,
-                size_bytes,
-                app_rate_bps,
-                start_nanos,
-                config,
-            )),
-        };
-        TransportSender {
-            pmsbe: config
-                .pmsbe_rtt_threshold_nanos
-                .map(SelectiveBlindness::new),
-            inner,
-        }
-    }
-}
-
-/// Forwards a `&self`/`&mut self` method through the sender enum.
-macro_rules! delegate_sender {
-    ($self:ident, $inner:ident => $body:expr) => {
-        match &$self.inner {
-            SenderImpl::Dctcp($inner) => $body,
-            SenderImpl::NewReno($inner) => $body,
-        }
-    };
-    (mut $self:ident, $inner:ident => $body:expr) => {
-        match &mut $self.inner {
-            SenderImpl::Dctcp($inner) => $body,
-            SenderImpl::NewReno($inner) => $body,
-        }
-    };
-}
-
-impl Sender for TransportSender {
-    fn start(&mut self, now_nanos: u64) -> SenderOutput {
-        delegate_sender!(mut self, s => s.start(now_nanos))
-    }
-
-    fn on_ack(
-        &mut self,
-        cum_ack: u64,
-        ece: bool,
-        echo_sent_at_nanos: u64,
-        now_nanos: u64,
-    ) -> SenderOutput {
-        // PMSB(e), Algorithm 2: the exact per-ACK RTT from the timestamp
-        // echo decides whether the mark is honoured, independent of the
-        // inner transport's congestion response.
-        let mut ece = ece;
-        if ece && !self.is_completed() {
-            self.stats_mut().marks_seen += 1;
-            if let Some(rule) = self.pmsbe {
-                let rtt = now_nanos.saturating_sub(echo_sent_at_nanos);
-                if rule.ignore_mark(true, rtt) {
-                    ece = false;
-                    self.stats_mut().marks_ignored += 1;
-                }
-            }
-        }
-        delegate_sender!(mut self, s => s.on_ack(cum_ack, ece, echo_sent_at_nanos, now_nanos))
-    }
-
-    fn on_rto(&mut self, gen: u64, now_nanos: u64) -> SenderOutput {
-        delegate_sender!(mut self, s => s.on_rto(gen, now_nanos))
-    }
-
-    fn on_app_resume(&mut self, gen: u64, now_nanos: u64) -> SenderOutput {
-        delegate_sender!(mut self, s => s.on_app_resume(gen, now_nanos))
-    }
-
-    fn rto_deadline(&self) -> Option<TimerArm> {
-        delegate_sender!(self, s => s.rto_deadline())
-    }
-
-    fn recycle(&mut self, buf: Vec<Packet>) {
-        delegate_sender!(mut self, s => s.recycle(buf))
-    }
-
-    fn enable_rtt_trace(&mut self) {
-        delegate_sender!(mut self, s => s.enable_rtt_trace())
-    }
-
-    fn rtt_samples(&self) -> Option<&[u64]> {
-        delegate_sender!(self, s => s.rtt_samples())
-    }
-
-    fn stats(&self) -> SenderStats {
-        delegate_sender!(self, s => s.stats())
-    }
-
-    fn stats_mut(&mut self) -> &mut SenderStats {
-        delegate_sender!(mut self, s => s.stats_mut())
-    }
-
-    fn flow_id(&self) -> u64 {
-        delegate_sender!(self, s => s.flow_id())
-    }
-
-    fn size_bytes(&self) -> u64 {
-        delegate_sender!(self, s => s.size_bytes())
-    }
-
-    fn start_nanos(&self) -> u64 {
-        delegate_sender!(self, s => s.start_nanos())
-    }
-
-    fn is_completed(&self) -> bool {
-        delegate_sender!(self, s => s.is_completed())
-    }
-
-    fn cwnd_bytes(&self) -> f64 {
-        delegate_sender!(self, s => s.cwnd_bytes())
-    }
-}
-
-/// The receiver the simulator stores per flow: enum dispatch over the
-/// concrete transport receivers (selected by [`TransportConfig::kind`]).
-#[derive(Debug)]
-pub enum TransportReceiver {
-    /// DCTCP receiver: per-packet ECN-Echo with the delayed-ACK ECE
-    /// state machine.
-    Dctcp(DctcpReceiver),
-    /// NewReno receiver: RFC 3168 ECE latch, cleared by CWR.
-    NewReno(NewRenoReceiver),
-}
-
-impl TransportReceiver {
-    /// Creates the receiver selected by [`TransportConfig::kind`] with
-    /// the configured ACK coalescing.
-    pub fn new(flow_id: u64, config: &TransportConfig) -> Self {
-        match config.kind {
-            TransportKind::Dctcp => TransportReceiver::Dctcp(DctcpReceiver::with_delack(
-                flow_id,
-                config.ack_every_packets,
-                config.delack_timeout_nanos,
-            )),
-            TransportKind::NewReno => TransportReceiver::NewReno(NewRenoReceiver::with_delack(
-                flow_id,
-                config.ack_every_packets,
-                config.delack_timeout_nanos,
-            )),
-        }
-    }
-}
-
-impl Receiver for TransportReceiver {
-    fn on_data(&mut self, pkt: &Packet, now_nanos: u64) -> ReceiverOutput {
-        match self {
-            TransportReceiver::Dctcp(r) => r.on_data(pkt, now_nanos),
-            TransportReceiver::NewReno(r) => r.on_data(pkt, now_nanos),
-        }
-    }
-
-    fn on_delack_timer(&mut self, gen: u64) -> Option<Packet> {
-        match self {
-            TransportReceiver::Dctcp(r) => r.on_delack_timer(gen),
-            TransportReceiver::NewReno(r) => r.on_delack_timer(gen),
-        }
-    }
-
-    fn rcv_nxt(&self) -> u64 {
-        match self {
-            TransportReceiver::Dctcp(r) => r.rcv_nxt(),
-            TransportReceiver::NewReno(r) => r.rcv_nxt(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::packet::PacketKind;
-
-    fn wrapped(kind: TransportKind, pmsbe: Option<u64>) -> TransportSender {
-        let cfg = TransportConfig {
-            kind,
-            init_cwnd_pkts: 4,
-            pmsbe_rtt_threshold_nanos: pmsbe,
-            ..TransportConfig::default()
-        };
-        TransportSender::new(1, 0, 9, 0, u64::MAX / 2, None, 0, &cfg)
-    }
-
-    #[test]
-    fn pmsbe_ignores_low_rtt_marks_for_any_transport() {
-        for kind in [TransportKind::Dctcp, TransportKind::NewReno] {
-            let mut s = wrapped(kind, Some(50_000));
-            let out = s.start(0);
-            let before = s.cwnd_bytes();
-            let mut cum = 0;
-            // All ACKs marked but RTT is only 20 us (< 50 us threshold):
-            // PMSB(e) ignores every mark, so cwnd grows as if unmarked.
-            for p in &out.packets {
-                let PacketKind::Data { seq, len } = p.kind else {
-                    unreachable!()
-                };
-                cum = cum.max(seq + len);
-                s.on_ack(cum, true, p.sent_at_nanos, p.sent_at_nanos + 20_000);
-            }
-            assert!(s.cwnd_bytes() > before, "{kind:?}: marks must be ignored");
-            assert_eq!(s.stats().marks_seen, 4, "{kind:?}");
-            assert_eq!(s.stats().marks_ignored, 4, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn pmsbe_honours_high_rtt_marks_for_any_transport() {
-        for kind in [TransportKind::Dctcp, TransportKind::NewReno] {
-            let mut s = wrapped(kind, Some(50_000));
-            let out = s.start(0);
-            let before = s.cwnd_bytes();
-            let mut cum = 0;
-            for p in &out.packets {
-                let PacketKind::Data { seq, len } = p.kind else {
-                    unreachable!()
-                };
-                cum = cum.max(seq + len);
-                // RTT 200 us >= threshold: honour.
-                s.on_ack(cum, true, p.sent_at_nanos, p.sent_at_nanos + 200_000);
-            }
-            assert_eq!(s.stats().marks_ignored, 0, "{kind:?}");
-            assert!(
-                s.cwnd_bytes() <= before,
-                "{kind:?}: an honoured mark must not grow the window"
-            );
-        }
-    }
-
-    #[test]
-    fn pmsbe_disabled_counts_marks_but_ignores_none() {
-        let mut s = wrapped(TransportKind::Dctcp, None);
-        let out = s.start(0);
-        let p = &out.packets[0];
-        let PacketKind::Data { seq, len } = p.kind else {
-            unreachable!()
-        };
-        s.on_ack(seq + len, true, p.sent_at_nanos, p.sent_at_nanos + 1_000);
-        assert_eq!(s.stats().marks_seen, 1);
-        assert_eq!(s.stats().marks_ignored, 0);
-    }
-
-    /// Satellite edge-case suite, written against the [`Sender`] /
-    /// [`Receiver`] traits so every transport runs the same cases.
-    mod shared_suite {
-        use super::*;
-
-        fn sender(kind: TransportKind, size_bytes: u64) -> TransportSender {
-            let cfg = TransportConfig {
-                kind,
-                init_cwnd_pkts: 2,
-                ..TransportConfig::default()
-            };
-            TransportSender::new(1, 0, 9, 0, size_bytes, None, 0, &cfg)
-        }
-
-        fn receiver(kind: TransportKind, ack_every: u64) -> TransportReceiver {
-            let cfg = TransportConfig {
-                kind,
-                ack_every_packets: ack_every,
-                ..TransportConfig::default()
-            };
-            TransportReceiver::new(7, &cfg)
-        }
-
-        const KINDS: [TransportKind; 2] = [TransportKind::Dctcp, TransportKind::NewReno];
-
-        /// Repeated timeouts back the RTO off exponentially, but the
-        /// inter-fire gap is capped (backoff shift ≤ 10, deadline step
-        /// ≤ 4 s), so a dead path never silences a flow for minutes.
-        #[test]
-        fn rto_backoff_reaches_a_ceiling() {
-            for kind in KINDS {
-                let mut s = sender(kind, u64::MAX / 2);
-                let mut arm = s.start(0).rto.expect("initial window arms the timer");
-                let mut gaps = Vec::new();
-                for _ in 0..16 {
-                    let now = arm.at_nanos;
-                    let out = s.on_rto(arm.gen, now);
-                    assert_eq!(out.packets.len(), 1, "{kind:?}: RTO retransmits the head");
-                    let next = out.rto.expect("timer re-arms");
-                    gaps.push(next.at_nanos - now);
-                    arm = next;
-                }
-                for w in gaps.windows(2) {
-                    assert!(w[1] >= w[0], "{kind:?}: backoff must not shrink: {gaps:?}");
-                }
-                assert!(
-                    gaps.iter().all(|g| *g <= 4_000_000_000),
-                    "{kind:?}: backoff ceiling 4s: {gaps:?}"
-                );
-                let last = *gaps.last().unwrap();
-                assert_eq!(
-                    last,
-                    gaps[gaps.len() - 2],
-                    "{kind:?}: the ceiling must hold steady: {gaps:?}"
-                );
-                assert_eq!(s.stats().timeouts, 16, "{kind:?}");
-            }
-        }
-
-        /// Duplicate-ACK counting across a retransmitted segment: the
-        /// third dup-ACK fast-retransmits once; further dup-ACKs during
-        /// recovery never retransmit the head again, and the cumulative
-        /// ACK covering the hole exits recovery cleanly.
-        #[test]
-        fn dup_acks_across_a_retransmitted_segment() {
-            for kind in KINDS {
-                let mut s = sender(kind, u64::MAX / 2);
-                let out = s.start(0);
-                assert_eq!(out.packets.len(), 2);
-                let ts = out.packets[0].sent_at_nanos;
-                assert!(s.on_ack(0, false, ts, 1_000).packets.is_empty(), "{kind:?}");
-                assert!(s.on_ack(0, false, ts, 1_100).packets.is_empty(), "{kind:?}");
-                let third = s.on_ack(0, false, ts, 1_200);
-                assert_eq!(third.packets.len(), 1, "{kind:?}: fast retransmit");
-                match third.packets[0].kind {
-                    PacketKind::Data { seq, .. } => assert_eq!(seq, 0, "{kind:?}"),
-                    _ => panic!("{kind:?}: expected data"),
-                }
-                assert_eq!(s.stats().retransmissions, 1, "{kind:?}");
-                // Dup-ACKs keep arriving while the retransmit is in
-                // flight: no second retransmission of the same head.
-                for t in [1_300, 1_400, 1_500] {
-                    assert!(
-                        s.on_ack(0, false, ts, t).packets.is_empty(),
-                        "{kind:?}: recovery absorbs further dup-ACKs"
-                    );
-                }
-                assert_eq!(s.stats().retransmissions, 1, "{kind:?}");
-                // The cumulative ACK for the whole outstanding window
-                // (2 segments) exits recovery and resumes sending.
-                let out = s.on_ack(2 * 1460, false, ts, 50_000);
-                assert!(!out.packets.is_empty(), "{kind:?}: sending resumes");
-                assert_eq!(s.stats().loss_episodes, 1, "{kind:?}: episode closed");
-            }
-        }
-
-        /// Delayed-ACK reassembly of out-of-order arrivals: a gap forces
-        /// an immediate dup-ACK (never delayed), the fill ACKs the whole
-        /// contiguous prefix immediately, and coalescing resumes after.
-        #[test]
-        fn delayed_acks_reassemble_out_of_order_arrivals() {
-            for kind in KINDS {
-                let mut r = receiver(kind, 4);
-                // Segment 0 in order: coalesced, timer armed.
-                let p0 = Packet::data(7, 0, 1, 0, 0, 1460, 0);
-                let out = r.on_data(&p0, 0);
-                assert!(out.ack.is_none(), "{kind:?}: in-order arrival coalesces");
-                assert!(out.delack.is_some(), "{kind:?}");
-                // Segment 2 arrives before segment 1: immediate dup-ACK.
-                let p2 = Packet::data(7, 0, 1, 0, 2 * 1460, 1460, 10);
-                let out = r.on_data(&p2, 10);
-                let ack = out.ack.expect("gap must ACK at once");
-                match ack.kind {
-                    PacketKind::Ack { cum_ack, .. } => {
-                        assert_eq!(cum_ack, 1460, "{kind:?}: dup-ACK at the hole")
-                    }
-                    _ => panic!(),
-                }
-                // The fill: cumulative ACK over the reassembled prefix.
-                let p1 = Packet::data(7, 0, 1, 0, 1460, 1460, 20);
-                let out = r.on_data(&p1, 20);
-                let ack = out.ack.expect("gap fill must ACK at once");
-                match ack.kind {
-                    PacketKind::Ack { cum_ack, .. } => {
-                        assert_eq!(cum_ack, 3 * 1460, "{kind:?}: hole filled")
-                    }
-                    _ => panic!(),
-                }
-                assert_eq!(r.rcv_nxt(), 3 * 1460, "{kind:?}");
-                // Back in order: coalescing resumes, flush timer drains.
-                let p3 = Packet::data(7, 0, 1, 0, 3 * 1460, 1460, 30);
-                let out = r.on_data(&p3, 30);
-                assert!(out.ack.is_none(), "{kind:?}: coalescing resumes");
-                let arm = out.delack.expect("timer armed");
-                let ack = r.on_delack_timer(arm.gen).expect("flush");
-                match ack.kind {
-                    PacketKind::Ack { cum_ack, .. } => assert_eq!(cum_ack, 4 * 1460, "{kind:?}"),
-                    _ => panic!(),
-                }
-            }
-        }
-
-        /// A duplicate of an already-delivered segment still produces an
-        /// immediate ACK at the current edge for both transports.
-        #[test]
-        fn duplicate_delivery_acks_at_the_edge() {
-            for kind in KINDS {
-                let mut r = receiver(kind, 1);
-                let p = Packet::data(7, 0, 1, 0, 0, 1460, 0);
-                r.on_data(&p, 0);
-                let ack = r.on_data(&p, 1).ack.expect("per-packet ACKs");
-                match ack.kind {
-                    PacketKind::Ack { cum_ack, .. } => assert_eq!(cum_ack, 1460, "{kind:?}"),
-                    _ => panic!(),
-                }
-                assert_eq!(r.rcv_nxt(), 1460, "{kind:?}");
-            }
-        }
-    }
 }

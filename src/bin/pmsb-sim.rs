@@ -27,8 +27,8 @@ use pmsb_metrics::fct::SizeClass;
 use pmsb_netsim::experiment::{Experiment, ExperimentResult, FaultSchedule, FlowDesc};
 use pmsb_repro::cli::{
     parse_buffer, parse_engine, parse_flow, parse_marking, parse_partition, parse_pattern,
-    parse_scheduler, parse_sim_threads, parse_topology, parse_transport, parse_weights,
-    split_options, ParseError, TopologySpec,
+    parse_pmsbe_us, parse_scheduler, parse_sim_threads, parse_topology, parse_transport,
+    parse_weights, split_options, ParseError, TopologySpec,
 };
 use pmsb_simcore::rng::SimRng;
 use pmsb_workload::traffic::TrafficSpec;
@@ -260,10 +260,7 @@ fn apply_common(mut e: Experiment, options: &[(String, String)]) -> Result<Exper
         Some(other) => return Err(ParseError(format!("bad --mark-point '{other}'"))),
     }
     if let Some(us) = opt(options, "pmsbe-us") {
-        let v: f64 = us
-            .parse()
-            .map_err(|_| ParseError(format!("bad --pmsbe-us '{us}'")))?;
-        e = e.pmsbe_rtt_threshold_nanos((v * 1e3) as u64);
+        e = e.pmsbe_rtt_threshold_nanos(parse_pmsbe_us(us)?);
     }
     if let Some(t) = opt(options, "transport") {
         e = e.transport_kind(parse_transport(t)?);

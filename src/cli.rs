@@ -401,6 +401,29 @@ pub fn parse_sim_threads(s: &str) -> Result<usize, ParseError> {
     }
 }
 
+/// Parses a `--pmsbe-us` RTT threshold in microseconds into whole
+/// nanoseconds. NaN, infinite, negative and values past `u64::MAX`
+/// nanoseconds are errors, not saturated thresholds.
+///
+/// # Example
+///
+/// ```
+/// use pmsb_repro::cli::parse_pmsbe_us;
+///
+/// assert_eq!(parse_pmsbe_us("85.2").unwrap(), 85_200);
+/// assert!(parse_pmsbe_us("nan").is_err());
+/// ```
+pub fn parse_pmsbe_us(s: &str) -> Result<u64, ParseError> {
+    match s.parse::<f64>().map(|us| us * 1e3) {
+        // `u64::MAX as f64` is 2^64, so every value below it converts
+        // without saturating.
+        Ok(ns) if (0.0..u64::MAX as f64).contains(&ns) => Ok(ns as u64),
+        _ => err(format!(
+            "bad --pmsbe-us '{s}' (accepted: microseconds from 0 up to 1.8e16)"
+        )),
+    }
+}
+
 /// Parses a `--partition` strategy name: `traffic` (workload-weighted
 /// greedy balanced growth, the default) or `contiguous` (plain
 /// switch-index ranges). Results are byte-identical either way; the
@@ -590,6 +613,20 @@ mod tests {
     fn transports_parse() {
         assert_eq!(parse_transport("dctcp").unwrap(), TransportKind::Dctcp);
         assert_eq!(parse_transport("newreno").unwrap(), TransportKind::NewReno);
+    }
+
+    #[test]
+    fn pmsbe_thresholds_parse_in_range_only() {
+        assert_eq!(parse_pmsbe_us("85.2").unwrap(), 85_200);
+        assert_eq!(parse_pmsbe_us("0").unwrap(), 0);
+        assert_eq!(
+            parse_pmsbe_us("1.8e16").unwrap(),
+            18_000_000_000_000_000_000
+        );
+        for bad in ["nan", "-5", "inf", "-inf", "1e30", "1.9e16", "85us"] {
+            let e = parse_pmsbe_us(bad).unwrap_err();
+            assert!(e.0.contains("accepted: microseconds"), "{bad}: {e}");
+        }
     }
 
     #[test]

@@ -55,6 +55,45 @@ fn engine_capability_errors_exit_cleanly() {
 }
 
 #[test]
+fn out_of_range_pmsbe_thresholds_are_rejected() {
+    for us in ["nan", "-5", "inf", "1e30"] {
+        assert_clean_config_error(
+            &["dumbbell", "--pmsbe-us", us, "--flow", "0>2:0:10K"],
+            "accepted: microseconds",
+        );
+    }
+}
+
+#[test]
+fn dumbbell_without_senders_exits_cleanly() {
+    assert_clean_config_error(
+        &["dumbbell", "--senders", "0", "--flow", "0>1:0:1M"],
+        "accepted: at least 1 sender",
+    );
+}
+
+#[test]
+fn dumbbell_without_queues_exits_cleanly() {
+    assert_clean_config_error(
+        &["dumbbell", "--queues", "0", "--flow", "0>2:0:1M"],
+        "accepted: at least one queue, every weight above 0",
+    );
+}
+
+#[test]
+fn zero_link_rate_exits_cleanly() {
+    assert_clean_config_error(
+        &["dumbbell", "--rate-gbps", "0", "--flow", "0>2:0:1M"],
+        "accepted: a link rate above 0",
+    );
+}
+
+#[test]
+fn flow_to_a_missing_host_exits_cleanly() {
+    assert_clean_config_error(&["dumbbell", "--flow", "0>99:0:1M"], "accepted: hosts 0..3");
+}
+
+#[test]
 fn campaign_engine_applies_to_hyperscale_only() {
     assert_clean_config_error(
         &["campaign", "transport", "--quick", "--engine", "fluid"],
