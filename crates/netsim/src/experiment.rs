@@ -16,6 +16,17 @@ pub use pmsb_faults::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};
 /// What a finished experiment returns; see [`RunResults`] for the fields.
 pub type ExperimentResult = RunResults;
 
+/// Fastest link [`Experiment::validate`] accepts: 10⁹ Gbps. The engines
+/// form a few small multiples of the link rate in `u64` (up to 15× in
+/// the hybrid's rate buckets, 8× in the delay-driven pool's drain-rate
+/// average); above this rate they would wrap.
+const MAX_LINK_RATE_GBPS: u64 = 1_000_000_000;
+
+/// Longest one-hop propagation delay [`Experiment::validate`] accepts:
+/// 1 s. Every event time is `now` plus a handful of hop delays in `u64`
+/// nanoseconds, so a bounded hop keeps that sum from wrapping.
+const MAX_LINK_DELAY_NANOS: u64 = 1_000_000_000;
+
 /// Which fabric the experiment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Topology {
@@ -275,9 +286,11 @@ impl Experiment {
         self
     }
 
-    /// Sets all link rates (default 10 Gbps).
+    /// Sets all link rates (default 10 Gbps). A rate whose bits per
+    /// second overflow `u64` saturates, and [`Experiment::validate`]
+    /// rejects it.
     pub fn link_rate_gbps(mut self, gbps: u64) -> Self {
-        self.link_rate_bps = gbps * 1_000_000_000;
+        self.link_rate_bps = gbps.saturating_mul(1_000_000_000);
         self
     }
 
@@ -445,7 +458,9 @@ impl Experiment {
     /// Checks, without running anything, that the fabric can carry
     /// traffic (a dumbbell has a sender, the scheduler has queues with
     /// positive weights, links have a rate, every static flow's
-    /// endpoints exist), that the configured engine supports what the
+    /// endpoints exist), that link rate and delay stay within the range
+    /// the simulator's integer arithmetic carries, that the configured
+    /// engine supports what the
     /// experiment asks of it (fault schedules, shared buffer policies)
     /// and that every explicit region port exists in the topology.
     /// [`Experiment::run_until_nanos`] panics with the same error;
@@ -469,6 +484,19 @@ impl Experiment {
             return Err(ConfigError::new(
                 "links of 0 bps carry no traffic (accepted: a link rate above 0)".to_string(),
             ));
+        }
+        if self.link_rate_bps > MAX_LINK_RATE_GBPS * 1_000_000_000 {
+            return Err(ConfigError::new(format!(
+                "link rates above {MAX_LINK_RATE_GBPS} Gbps overflow the simulator's rate \
+                 arithmetic (accepted: 1..={MAX_LINK_RATE_GBPS} Gbps)"
+            )));
+        }
+        if self.link_delay_nanos > MAX_LINK_DELAY_NANOS {
+            return Err(ConfigError::new(format!(
+                "a one-hop delay of {} ns overflows the simulator's clock arithmetic \
+                 (accepted: 0..={MAX_LINK_DELAY_NANOS} ns)",
+                self.link_delay_nanos
+            )));
         }
         let hosts = self.num_hosts();
         if let Some(f) = self
@@ -701,6 +729,24 @@ mod tests {
         });
         assert!(err(zero_weight).contains(no_queues));
         assert!(err(Experiment::dumbbell(2, 2).link_rate_gbps(0)).contains("a link rate above 0"));
+        let rates = "accepted: 1..=1000000000 Gbps";
+        for gbps in [1_000_000_001, 18_446_744_073, 18_446_744_074, u64::MAX] {
+            assert!(err(Experiment::dumbbell(2, 2).link_rate_gbps(gbps)).contains(rates));
+        }
+        assert!(Experiment::dumbbell(2, 2)
+            .link_rate_gbps(1_000_000_000)
+            .validate()
+            .is_ok());
+        let delays = "accepted: 0..=1000000000 ns";
+        for nanos in [1_000_000_001, u64::MAX] {
+            assert!(err(Experiment::dumbbell(2, 2).link_delay_nanos(nanos)).contains(delays));
+        }
+        for nanos in [0, 1_000_000_000] {
+            assert!(Experiment::dumbbell(2, 2)
+                .link_delay_nanos(nanos)
+                .validate()
+                .is_ok());
+        }
         let mut stray = Experiment::dumbbell(2, 2);
         stray.add_flow(FlowDesc::bulk(0, 99, 0, 1_000));
         assert!(err(stray).contains("flow 0>99"));

@@ -213,8 +213,8 @@ fn curve_p_ppm(kind: TransportKind, w_pkts: u64) -> u64 {
 /// allocated share (the window oscillates between W/2 and W).
 const NEWRENO_UTIL_PPM: u64 = 750_000;
 
-struct Engine {
-    world: World,
+struct Engine<'w> {
+    world: &'w World,
     switch_base: Vec<u32>,
     link_rate_bps: u64,
     link_delay_nanos: u64,
@@ -241,17 +241,9 @@ struct Engine {
     region: Option<region::PacketRegion>,
 }
 
-impl Engine {
-    fn new(e: &Experiment) -> Self {
-        let world = e.build_world();
-        let num_hosts = world.num_hosts();
-        let num_switches = world.num_switches();
-        let mut switch_base = vec![0u32; num_switches];
-        let mut next = num_hosts as u32;
-        for (s, base) in switch_base.iter_mut().enumerate() {
-            *base = next;
-            next += world.num_ports(s) as u32;
-        }
+impl<'w> Engine<'w> {
+    fn new(e: &Experiment, world: &'w World) -> Self {
+        let (switch_base, next) = link_ids(world);
         let weights = e.switch_cfg.scheduler.weights();
         let round_based = e.switch_cfg.scheduler.build().round_time_nanos().is_some();
         let switch_onset = OnsetCache::new(
@@ -303,7 +295,7 @@ impl Engine {
     fn install_region(&mut self, e: &Experiment, hot: &[(usize, usize)]) {
         self.region = Some(region::PacketRegion::new(
             e,
-            &self.world,
+            self.world,
             &self.switch_base,
             self.sat_index.len(),
             hot,
@@ -537,22 +529,37 @@ impl Engine {
     }
 }
 
+/// Link ids of `world`: host `h`'s NIC is link `h`, and switch `s`'s
+/// port `p` is link `switch_base[s] + p`. Returns `switch_base` and the
+/// link count.
+fn link_ids(world: &World) -> (Vec<u32>, u32) {
+    let mut switch_base = vec![0u32; world.num_switches()];
+    let mut next = world.num_hosts() as u32;
+    for (s, base) in switch_base.iter_mut().enumerate() {
+        *base = next;
+        next += world.num_ports(s) as u32;
+    }
+    (switch_base, next)
+}
+
 /// Runs `e` under the fluid, hybrid, or regional engine until
-/// `end_nanos`.
+/// `end_nanos`. The packet world is built once, for its routes, and
+/// serves the scout pass and the regional pass alike.
 pub(crate) fn run(e: &Experiment, end_nanos: u64) -> RunResults {
+    let world = e.build_world();
     if e.engine != EngineKind::Regional {
-        return run_pass(e, end_nanos, None, None);
+        return run_pass(e, &world, end_nanos, None, None);
     }
     let hot = match &e.region {
         RegionSpec::Ports(list) => list.clone(),
-        RegionSpec::Auto => scout_hot_ports(e, end_nanos),
+        RegionSpec::Auto => scout_hot_ports(e, &world, end_nanos),
     };
     if hot.is_empty() {
         // No hot ports: the regional engine *is* the fluid engine, byte
         // for byte.
-        return run_pass(e, end_nanos, None, None);
+        return run_pass(e, &world, end_nanos, None, None);
     }
-    run_pass(e, end_nanos, Some(&hot), None)
+    run_pass(e, &world, end_nanos, Some(&hot), None)
 }
 
 /// Auto region selection: a full-horizon fluid scout pass accumulates
@@ -560,18 +567,11 @@ pub(crate) fn run(e: &Experiment, end_nanos: u64) -> RunResults {
 /// every port within a quarter of the longest dwell, capped at 128 —
 /// become the hot set. Purely integer bookkeeping over a deterministic
 /// pass, so the selection is itself deterministic.
-fn scout_hot_ports(e: &Experiment, end_nanos: u64) -> Vec<(usize, usize)> {
-    let world = e.build_world();
+fn scout_hot_ports(e: &Experiment, world: &World, end_nanos: u64) -> Vec<(usize, usize)> {
     let num_hosts = world.num_hosts();
-    let mut switch_base = vec![0u32; world.num_switches()];
-    let mut next = num_hosts as u32;
-    for (s, base) in switch_base.iter_mut().enumerate() {
-        *base = next;
-        next += world.num_ports(s) as u32;
-    }
-    drop(world);
+    let (switch_base, next) = link_ids(world);
     let mut dwell: Vec<u128> = Vec::new();
-    run_pass(e, end_nanos, None, Some(&mut dwell));
+    run_pass(e, world, end_nanos, None, Some(&mut dwell));
     let max = (num_hosts..next as usize)
         .map(|l| dwell[l])
         .max()
@@ -602,6 +602,7 @@ fn scout_hot_ports(e: &Experiment, end_nanos: u64) -> Vec<(usize, usize)> {
 /// id) for auto region selection.
 fn run_pass(
     e: &Experiment,
+    world: &World,
     end_nanos: u64,
     hot: Option<&[(usize, usize)]>,
     mut scout: Option<&mut Vec<u128>>,
@@ -635,7 +636,7 @@ fn run_pass(
         }
     };
     let mut feed = FlowFeed::new(feed_iter);
-    let mut eng = Engine::new(e);
+    let mut eng = Engine::new(e, world);
     if let Some(h) = hot {
         eng.install_region(e, h);
     }
@@ -822,8 +823,16 @@ fn run_pass(
     // on ghosts of already-departed flows, and pool contention.
     let mut drops = 0u64;
     let mut shared_buffer = None;
+    let mut engine_path = if e.engine == EngineKind::Hybrid {
+        EnginePath::Hybrid
+    } else {
+        EnginePath::Fluid
+    };
     if let Some(r) = eng.region.take() {
         let s = r.finish();
+        engine_path = EnginePath::Regional {
+            hot_ports: s.hot_ports,
+        };
         drops = s.drops;
         marks_total += s.orphan_marks;
         events += s.events;
@@ -856,13 +865,7 @@ fn run_pass(
         // Fluid/hybrid runs reject shared buffer policies up front; on a
         // regional run the hot-port pools report their contention.
         shared_buffer,
-        engine_path: if hot.is_some() {
-            EnginePath::Regional
-        } else if e.engine == EngineKind::Hybrid {
-            EnginePath::Hybrid
-        } else {
-            EnginePath::Fluid
-        },
+        engine_path,
     }
 }
 
@@ -1011,16 +1014,11 @@ mod tests {
     #[test]
     fn regional_auto_selects_the_bottleneck() {
         use crate::config::RegionSpec;
-        let hot = scout_hot_ports(
-            &{
-                let mut e = Experiment::dumbbell(4, 4).engine(EngineKind::Regional);
-                for i in 0..4 {
-                    e.add_flow(FlowDesc::bulk(i, 4, i, 2_000_000));
-                }
-                e
-            },
-            100_000_000,
-        );
+        let mut scouted = Experiment::dumbbell(4, 4).engine(EngineKind::Regional);
+        for i in 0..4 {
+            scouted.add_flow(FlowDesc::bulk(i, 4, i, 2_000_000));
+        }
+        let hot = scout_hot_ports(&scouted, &scouted.build_world(), 100_000_000);
         assert!(
             hot.contains(&(0, 4)),
             "the dumbbell bottleneck port must be hot, got {hot:?}"

@@ -37,6 +37,7 @@ use crate::buffer::{Admit, SharedPool};
 use crate::config::TransportKind;
 use crate::experiment::Experiment;
 use crate::packet::MTU_WIRE_BYTES;
+use crate::slab::FlowSlab;
 use crate::world::port::PacketPortView;
 use crate::world::World;
 
@@ -120,6 +121,8 @@ struct RegionFlow {
 
 /// Counters the region hands back when the run ends.
 pub(super) struct RegionSummary {
+    /// Hot ports the region simulated.
+    pub(super) hot_ports: usize,
     /// Ghost packets tail-dropped or pool-rejected at hot ports.
     pub(super) drops: u64,
     /// Marks applied to ghosts of already-departed flows.
@@ -145,9 +148,10 @@ pub(super) struct PacketRegion {
     pools: Vec<RegionPool>,
     /// Link id → index into `ports` (`u32::MAX` = not hot).
     link_to_port: Vec<u32>,
-    /// Flows with hot hops, keyed by flow id (B-tree for deterministic
-    /// iteration-free determinism — lookups only, but no hash state).
-    flows: BTreeMap<u64, RegionFlow>,
+    /// Flows with hot hops, found by flow id. Events name flows by id,
+    /// never by slot, so a stale event of a departed flow finds nothing
+    /// even after a new flow has taken over its slot.
+    flows: FlowSlab<RegionFlow>,
     /// Packet events; the push sequence number breaks time ties FIFO,
     /// mirroring the packet engine's event list.
     heap: BinaryHeap<Reverse<PktEvent>>,
@@ -232,7 +236,7 @@ impl PacketRegion {
             ports,
             pools,
             link_to_port,
-            flows: BTreeMap::new(),
+            flows: FlowSlab::new(),
             heap: BinaryHeap::new(),
             win_heap: BinaryHeap::new(),
             seq: 0,
@@ -301,7 +305,7 @@ impl PacketRegion {
     /// The cap this flow's region rate imposes on the solver
     /// (`u64::MAX` = unconstrained: not a region flow, or not seeded).
     pub(super) fn cap_bps(&self, id: u64) -> u64 {
-        match self.flows.get(&id) {
+        match self.flows.get(id) {
             Some(f) if f.cur_rate_bps > 0 => f.cur_rate_bps,
             _ => u64::MAX,
         }
@@ -312,7 +316,7 @@ impl PacketRegion {
     /// share (DCTCP init: α = 1) and starts the ghost pacers.
     pub(super) fn set_alloc(&mut self, id: u64, alloc_bps: u64, rtt_nanos: u64, now: u64) {
         let link_rate = self.link_rate_bps;
-        let Some(f) = self.flows.get_mut(&id) else {
+        let Some(f) = self.flows.get_mut(id) else {
             return;
         };
         f.rtt_nanos = rtt_nanos;
@@ -340,7 +344,7 @@ impl PacketRegion {
     /// change a solver cap, so the fluid loop bounds its targets by it.
     pub(super) fn next_rate_event(&mut self) -> u64 {
         while let Some(&Reverse((at, id))) = self.win_heap.peek() {
-            match self.flows.get(&id) {
+            match self.flows.get(id) {
                 Some(f) if f.window_end == at => return at,
                 _ => {
                     self.win_heap.pop(); // stale: flow gone or window moved
@@ -358,10 +362,9 @@ impl PacketRegion {
     /// Removes a departing flow, returning its `(seen, ignored)` mark
     /// counters. Its pending events go stale and drain lazily.
     pub(super) fn remove_flow(&mut self, id: u64) -> (u64, u64) {
-        match self.flows.remove(&id) {
-            Some(f) => (f.marks_seen, f.marks_ignored),
-            None => (0, 0),
-        }
+        self.flows
+            .remove(id)
+            .map_or((0, 0), |f| (f.marks_seen, f.marks_ignored))
     }
 
     /// Processes every region event up to and including `t`, in
@@ -396,7 +399,7 @@ impl PacketRegion {
     /// window.
     fn roll_window(&mut self, id: u64, now: u64) {
         let (mss, kind, link_rate) = (self.mss, self.kind, self.link_rate_bps);
-        let Some(f) = self.flows.get_mut(&id) else {
+        let Some(f) = self.flows.get_mut(id) else {
             return;
         };
         let frac_ppm = if f.window_pkts > 0 {
@@ -431,7 +434,7 @@ impl PacketRegion {
     /// One ghost arrival of `flow` at hot hop `hop`: real enqueue-point
     /// marking, real pool admission, then the pacer reschedules itself.
     fn on_arrival(&mut self, flow_id: u64, hop: usize, now: u64) {
-        let Some(f) = self.flows.get(&flow_id) else {
+        let Some(f) = self.flows.get(flow_id) else {
             return; // stale pacer of a departed flow
         };
         let pi = f.hops[hop] as usize;
@@ -498,7 +501,7 @@ impl PacketRegion {
         if marked {
             self.attribute_mark(flow_id, rtt);
         }
-        if let Some(f) = self.flows.get_mut(&flow_id) {
+        if let Some(f) = self.flows.get_mut(flow_id) {
             f.window_pkts += 1;
         }
         self.try_transmit(pi, now);
@@ -551,7 +554,7 @@ impl PacketRegion {
             0,
         )));
         if let Some(fid) = marked_flow {
-            match self.flows.get(&fid) {
+            match self.flows.get(fid) {
                 Some(f) => {
                     let rtt = f.rtt_nanos;
                     self.attribute_mark(fid, rtt);
@@ -568,7 +571,7 @@ impl PacketRegion {
         let ignore = self
             .pmsbe
             .is_some_and(|rule| rule.ignore_mark(true, rtt_nanos));
-        let Some(f) = self.flows.get_mut(&flow_id) else {
+        let Some(f) = self.flows.get_mut(flow_id) else {
             self.orphan_marks += 1;
             return;
         };
@@ -596,10 +599,51 @@ impl PacketRegion {
             }
         }
         RegionSummary {
+            hot_ports: self.ports.len(),
             drops,
             orphan_marks: self.orphan_marks,
             events: self.events,
             shared,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::slab::SlotRef;
+
+    #[test]
+    fn stale_events_of_a_departed_flow_never_touch_the_flow_reusing_its_slot() {
+        // Dumbbell links: hosts 0..3, then switch 0's ports 0..3 as
+        // links 3..6; port 2 faces the receiver (host 2).
+        let e = Experiment::dumbbell(2, 1);
+        let world = e.build_world();
+        let mut r = PacketRegion::new(&e, &world, &[3], 6, &[(0, 2)]);
+        let path = [0, 5];
+        r.on_inject(0, &path, 0);
+        r.set_alloc(0, 5_000_000_000, 20_000, 0);
+        r.advance_to(10_000);
+        assert!(r.events > 0, "ghosts ran");
+        let roll = r.next_rate_event();
+        assert!(roll > 10_000 && roll < u64::MAX, "a window roll is pending");
+        r.remove_flow(0);
+        // Flow 1 takes flow 0's freed slot but is never seeded, so every
+        // event from here on is one of flow 0's stale pacers or rolls.
+        r.on_inject(1, &path, 0);
+        assert_eq!(r.flows.slot_ref(1), SlotRef::Live(0));
+        assert_eq!(r.flows.slot_ref(0), SlotRef::Retired);
+        r.advance_to(1_000_000);
+        let f = r.flows.get(1).expect("flow 1 is live");
+        assert_eq!(f.window_pkts, 0, "a stale pacer fed the new flow");
+        assert_eq!(f.window_marks, 0);
+        assert_eq!(
+            (f.cur_rate_bps, f.window_end),
+            (0, 0),
+            "a stale window roll moved the new flow"
+        );
+        assert_eq!(r.next_rate_event(), u64::MAX);
+        assert_eq!(r.cap_bps(1), u64::MAX);
+        assert_eq!(r.remove_flow(1), (0, 0));
     }
 }

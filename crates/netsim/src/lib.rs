@@ -47,6 +47,7 @@ pub mod packet;
 mod parallel;
 mod partition;
 pub mod routing;
+mod slab;
 pub mod topology;
 pub mod trace;
 pub mod transport;

@@ -153,10 +153,10 @@ impl EventHandler for World {
                     sender.enable_rtt_trace();
                 }
                 let out = sender.start(now);
-                let SlotRef::Live(slot) = self.slot_ref(flow_id) else {
+                let SlotRef::Live(slot) = self.slab.slot_ref(flow_id) else {
                     unreachable!("static flows are pre-slotted in prepare");
                 };
-                self.slots[slot].sender = Some(sender);
+                self.slab[slot].sender = Some(sender);
                 self.process_sender_output(desc.src_host, flow_id, out, now, queue);
             }
             Event::FlowArrival => self.inject_next_flow(now, queue),
@@ -190,20 +190,20 @@ impl EventHandler for World {
                 gen: _,
             } => {
                 // A timer outliving its flow's slot is stale by definition.
-                let SlotRef::Live(slot) = self.slot_ref(flow_id) else {
+                let SlotRef::Live(slot) = self.slab.slot_ref(flow_id) else {
                     return;
                 };
-                self.slots[slot].rto_next_fire = u64::MAX;
+                self.slab[slot].rto_next_fire = u64::MAX;
                 // The event's generation may predate later re-arms, so the
                 // sender's live deadline decides what this fire means.
-                let deadline = self.slots[slot]
+                let deadline = self.slab[slot]
                     .sender
                     .as_ref()
                     .and_then(|s| s.rto_deadline());
                 match deadline {
                     // Live deadline reached: a genuine timeout.
                     Some(arm) if arm.at_nanos <= now => {
-                        let sender = self.slots[slot]
+                        let sender = self.slab[slot]
                             .sender
                             .as_mut()
                             .expect("armed timer has a sender");
@@ -213,7 +213,7 @@ impl EventHandler for World {
                     // The deadline moved while this event was in flight:
                     // walk the single timer event forward to it.
                     Some(arm) => {
-                        self.slots[slot].rto_next_fire = arm.at_nanos;
+                        self.slab[slot].rto_next_fire = arm.at_nanos;
                         queue.push(
                             SimTime::from_nanos(arm.at_nanos),
                             Event::Rto {
@@ -228,10 +228,10 @@ impl EventHandler for World {
                 }
             }
             Event::DelAck { host, flow_id, gen } => {
-                let SlotRef::Live(slot) = self.slot_ref(flow_id) else {
+                let SlotRef::Live(slot) = self.slab.slot_ref(flow_id) else {
                     return;
                 };
-                if let Some(receiver) = self.slots[slot].receiver.as_mut() {
+                if let Some(receiver) = self.slab[slot].receiver.as_mut() {
                     if let Some(ack) = receiver.on_delack_timer(gen) {
                         self.host_enqueue(host, ack, now, queue);
                     }

@@ -11,7 +11,7 @@ use crate::packet::{Packet, PacketKind};
 use crate::transport::{Receiver as _, Sender as _, SenderOutput, TransportReceiver};
 
 use super::port::PacketPortView;
-use super::{Event, Fate, LinkAttach, NodeRef, SlotRef, World};
+use super::{Event, Fate, FlowSlot, LinkAttach, NodeRef, SlotRef, World};
 
 /// An endpoint: one NIC queue towards its access switch, plus optional
 /// NIC-level ECN marking.
@@ -44,9 +44,9 @@ impl World {
             // when an earlier (or equal) fire is already scheduled — that
             // fire re-arms lazily from the sender's live deadline.
             let at = arm.at_nanos.max(now);
-            if let SlotRef::Live(slot) = self.slot_ref(flow_id) {
-                if at < self.slots[slot].rto_next_fire {
-                    self.slots[slot].rto_next_fire = at;
+            if let SlotRef::Live(slot) = self.slab.slot_ref(flow_id) {
+                if at < self.slab[slot].rto_next_fire {
+                    self.slab[slot].rto_next_fire = at;
                     queue.push(
                         SimTime::from_nanos(at),
                         Event::Rto {
@@ -81,10 +81,10 @@ impl World {
     /// sequential and sharded runs. Static mode records and returns —
     /// no Fins, no reclamation, no change to golden records.
     fn finish_flow(&mut self, host: usize, flow_id: u64, now: u64, queue: &mut EventQueue<Event>) {
-        let SlotRef::Live(slot) = self.slot_ref(flow_id) else {
+        let SlotRef::Live(slot) = self.slab.slot_ref(flow_id) else {
             unreachable!("completed flow has a slot");
         };
-        let s = self.slots[slot]
+        let s = self.slab[slot]
             .sender
             .as_ref()
             .expect("completed flow has a sender");
@@ -98,10 +98,10 @@ impl World {
             self.fct.record(rec);
             return;
         }
-        let sender = self.slots[slot].sender.take().expect("taken once");
+        let sender = self.slab[slot].sender.take().expect("taken once");
         let (dst, service) = (
-            self.slots[slot].dst_host as usize,
-            self.slots[slot].service as usize,
+            self.slab[slot].dst_host as usize,
+            self.slab[slot].service as usize,
         );
         let st = self.stream.as_deref_mut().expect("streaming mode");
         st.completed += 1;
@@ -229,17 +229,17 @@ impl World {
     ) {
         match pkt.kind {
             PacketKind::Data { .. } => {
-                let slot = match self.slot_ref(pkt.flow_id) {
+                let slot = match self.slab.slot_ref(pkt.flow_id) {
                     SlotRef::Live(s) => s,
                     // Straggler data after teardown (e.g. a retransmit
                     // whose original was ACKed before the Fin): drop.
                     SlotRef::Retired => return,
                     // First data of a streaming flow at its destination:
                     // the receiver half claims a slot lazily.
-                    SlotRef::Absent => self.alloc_slot(pkt.flow_id),
+                    SlotRef::Absent => self.slab.insert(pkt.flow_id, FlowSlot::empty()),
                 };
                 let transport = self.transport;
-                let receiver = self.slots[slot]
+                let receiver = self.slab[slot]
                     .receiver
                     .get_or_insert_with(|| TransportReceiver::new(pkt.flow_id, &transport));
                 let out = receiver.on_data(&pkt, now);
@@ -265,8 +265,8 @@ impl World {
                 self.process_sender_output(host, pkt.flow_id, out, now, queue);
             }
             PacketKind::Fin => {
-                if let SlotRef::Live(slot) = self.slot_ref(pkt.flow_id) {
-                    self.slots[slot].receiver = None;
+                if let SlotRef::Live(slot) = self.slab.slot_ref(pkt.flow_id) {
+                    self.slab[slot].receiver = None;
                     self.retire_slot_if_done(pkt.flow_id);
                 }
             }

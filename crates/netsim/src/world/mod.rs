@@ -13,7 +13,7 @@
 //!
 //! The module splits by layer: this file holds the network structure
 //! (wiring, sharding, run lifecycle), `types` the plain data (flow
-//! descriptors, the transport slab, run results), `faults` the
+//! descriptors, the per-flow transport slot, run results), `faults` the
 //! fault-injection runtime, `port` the embeddable marking-view adapter
 //! shared with the flow-level engines, `host` the endpoint/NIC layer,
 //! `switch` the port layer, and `events` the event pump. The transport
@@ -41,13 +41,14 @@ use pmsb_simcore::{EventQueue, LpMessage, SimTime, Simulation, TieKey};
 
 use crate::config::{HostConfig, SwitchConfig, TransportConfig};
 use crate::packet::Packet;
+use crate::slab::{FlowSlab, SlotRef};
 use crate::trace::{PortTrace, TraceConfig};
 use crate::transport::{Sender as _, SenderStats, TransportSender};
 
 use faults::{fault_desc, Fate, FaultRuntime, LinkEnd};
 use host::Host;
 use switch::{Switch, SwitchPort};
-use types::{FlowSlot, LinkAttach, SlotRef, StreamRuntime, SLOT_NONE, SLOT_RETIRED};
+use types::{FlowSlot, LinkAttach, StreamRuntime};
 
 /// Sharding state carried only by a world participating in a parallel
 /// run (DESIGN.md §8): which logical process this instance is, which LP
@@ -87,22 +88,12 @@ pub struct World {
     transport: TransportConfig,
     trace: TraceConfig,
     flows: Vec<FlowDesc>,
-    /// Per-flow transport slab. Slot tables instead of per-host
-    /// `HashMap`s keep hash lookups out of the per-event path;
-    /// `HashMap`s reappear only at the result-export boundary in
-    /// [`World::harvest`]. Static runs identity-map flow id → slot in
-    /// [`World::prepare`] and never free; streaming runs allocate at
-    /// arrival and recycle through `free_slots` at teardown.
-    slots: Vec<FlowSlot>,
-    /// Recycled slot indices (streaming mode only).
-    free_slots: Vec<u32>,
-    /// Flow id → slot index, with [`SLOT_NONE`]/[`SLOT_RETIRED`]
-    /// sentinels. Four bytes per flow ever seen — the only per-flow cost
-    /// that scales with the total (not concurrent) flow count.
-    flow_slot: Vec<u32>,
-    /// Currently allocated slots and the run's peak.
-    live_slots: usize,
-    slab_high_water: usize,
+    /// Per-flow transport state. The slab keeps hash lookups out of the
+    /// per-event path; `HashMap`s reappear only at the result-export
+    /// boundary in [`World::harvest`]. Static runs slot flows `0..n` in
+    /// [`World::prepare`] (slot index == flow id) and never free;
+    /// streaming runs slot a flow at arrival and free it at teardown.
+    slab: FlowSlab<FlowSlot>,
     /// Present only in streaming mode; boxed so static worlds stay small.
     stream: Option<Box<StreamRuntime>>,
     fct: FctRecorder,
@@ -125,11 +116,7 @@ impl World {
             transport,
             trace: TraceConfig::off(),
             flows: Vec::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            flow_slot: Vec::new(),
-            live_slots: 0,
-            slab_high_water: 0,
+            slab: FlowSlab::new(),
             stream: None,
             fct: FctRecorder::new(),
             marks: 0,
@@ -515,67 +502,24 @@ impl World {
         }));
     }
 
-    /// Where `flow_id` currently points in the slab.
-    fn slot_ref(&self, flow_id: u64) -> SlotRef {
-        match self.flow_slot.get(flow_id as usize) {
-            Some(&SLOT_RETIRED) => SlotRef::Retired,
-            Some(&SLOT_NONE) | None => SlotRef::Absent,
-            Some(&s) => SlotRef::Live(s as usize),
-        }
-    }
-
     /// The live sender of `flow_id`, if any.
     pub(super) fn sender_mut(&mut self, flow_id: u64) -> Option<&mut TransportSender> {
-        match self.slot_ref(flow_id) {
-            SlotRef::Live(s) => self.slots[s].sender.as_mut(),
-            _ => None,
-        }
+        self.slab.get_mut(flow_id)?.sender.as_mut()
     }
 
-    /// Binds a fresh slot to `flow_id`, reusing a freed one when
-    /// available, and tracks the live high-water mark.
-    fn alloc_slot(&mut self, flow_id: u64) -> usize {
-        let fid = flow_id as usize;
-        if self.flow_slot.len() <= fid {
-            self.flow_slot.resize(fid + 1, SLOT_NONE);
-        }
-        debug_assert_eq!(
-            self.flow_slot[fid], SLOT_NONE,
-            "flow {flow_id} already slotted"
-        );
-        let slot = match self.free_slots.pop() {
-            Some(s) => s as usize,
-            None => {
-                self.slots.push(FlowSlot::empty());
-                self.slots.len() - 1
-            }
-        };
-        self.flow_slot[fid] = slot as u32;
-        self.live_slots += 1;
-        self.slab_high_water = self.slab_high_water.max(self.live_slots);
-        slot
-    }
-
-    /// Recycles the flow's slot once both halves are gone. A no-op in
+    /// Frees the flow's slot once both halves are gone. A no-op in
     /// static mode, where slots live for the whole run (that is what
     /// keeps static runs byte-identical to the pre-slab simulator).
     fn retire_slot_if_done(&mut self, flow_id: u64) {
         if self.stream.is_none() {
             return;
         }
-        let fid = flow_id as usize;
-        let s = self.flow_slot[fid];
-        if s >= SLOT_RETIRED {
+        let Some(slot) = self.slab.get(flow_id) else {
             return;
+        };
+        if slot.sender.is_none() && slot.receiver.is_none() {
+            self.slab.remove(flow_id);
         }
-        let slot = &mut self.slots[s as usize];
-        if slot.sender.is_some() || slot.receiver.is_some() {
-            return;
-        }
-        slot.rto_next_fire = u64::MAX;
-        self.free_slots.push(s);
-        self.flow_slot[fid] = SLOT_RETIRED;
-        self.live_slots -= 1;
     }
 
     /// Counts a streaming-arrival push as replicated on every LP but
@@ -631,10 +575,16 @@ impl World {
             &self.transport,
         );
         let out = sender.start(now);
-        let slot = self.alloc_slot(flow_id);
-        self.slots[slot].sender = Some(sender);
-        self.slots[slot].dst_host = desc.dst_host as u32;
-        self.slots[slot].service = desc.service as u16;
+        self.slab.insert(
+            flow_id,
+            FlowSlot {
+                sender: Some(sender),
+                receiver: None,
+                rto_next_fire: u64::MAX,
+                dst_host: desc.dst_host as u32,
+                service: desc.service as u16,
+            },
+        );
         self.stream.as_deref_mut().expect("checked above").injected += 1;
         self.process_sender_output(desc.src_host, flow_id, out, now, queue);
     }
@@ -657,12 +607,11 @@ impl World {
     pub(crate) fn prepare(mut self, end_nanos: u64) -> Simulation<World> {
         self.end_nanos = end_nanos;
         if self.stream.is_none() {
-            // Static mode: identity flow → slot mapping, pre-sized and
-            // never freed, so slot index == flow id for the whole run.
-            self.slots.resize_with(self.flows.len(), FlowSlot::empty);
-            self.flow_slot = (0..self.flows.len() as u32).collect();
-            self.live_slots = self.flows.len();
-            self.slab_high_water = self.flows.len();
+            // Static mode: flows 0..n slotted in order and never freed,
+            // so slot index == flow id for the whole run.
+            for id in 0..self.flows.len() as u64 {
+                self.slab.insert(id, FlowSlot::empty());
+            }
         }
         // Pre-size the hot-path storage: the FEL for the in-flight event
         // population (a generous per-flow share plus trace/timer headroom)
@@ -749,7 +698,7 @@ impl World {
             drops += h.nic.dropped_items();
         }
         if self.stream.is_none() {
-            for slot in &self.slots {
+            for slot in self.slab.values() {
                 let Some(s) = slot.sender.as_ref() else {
                     continue;
                 };
@@ -759,11 +708,11 @@ impl World {
                 }
             }
         }
-        let slab_high_water = self.slab_high_water as u64;
+        let slab_high_water = self.slab.high_water() as u64;
         let stream = self.stream.take().map(|mut st| {
             // Flows still live at the cutoff never reached `finish_flow`;
             // their counters belong in the aggregate too.
-            for slot in &self.slots {
+            for slot in self.slab.values() {
                 if let Some(s) = slot.sender.as_ref() {
                     add_sender_stats(&mut st.agg, &s.stats());
                 }

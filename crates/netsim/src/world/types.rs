@@ -1,5 +1,5 @@
 //! Plain data carried by the world: node/link references, flow
-//! descriptors, the per-flow transport slab, streaming aggregates, and
+//! descriptors, the per-flow transport slot, streaming aggregates, and
 //! the harvested run results.
 //!
 //! Splitting these out of the event-loop module keeps them reusable by
@@ -83,17 +83,12 @@ impl FlowDesc {
     }
 }
 
-/// Sentinel in `World::flow_slot`: the flow has no slab slot yet.
-pub(crate) const SLOT_NONE: u32 = u32::MAX;
-/// Sentinel in `World::flow_slot`: the flow's slot was reclaimed.
-pub(crate) const SLOT_RETIRED: u32 = u32::MAX - 1;
-
-/// One slab slot of per-flow transport state. In static mode every
-/// registered flow holds its slot (slot index == flow id) for the whole
-/// run; in streaming mode slots are allocated at flow arrival and
-/// recycled through `World::free_slots` once both halves are done, so
-/// resident memory is bounded by the *concurrent* flow population, not
-/// the total flow count.
+/// One [`FlowSlab`](crate::slab::FlowSlab) slot of per-flow transport
+/// state. In static mode every registered flow holds its slot (slot
+/// index == flow id) for the whole run; in streaming mode a flow takes a
+/// slot at arrival and frees it once both halves are done, so resident
+/// memory is bounded by the *concurrent* flow population, not the total
+/// flow count.
 pub(crate) struct FlowSlot {
     pub(crate) sender: Option<TransportSender>,
     pub(crate) receiver: Option<TransportReceiver>,
@@ -120,16 +115,6 @@ impl FlowSlot {
             service: 0,
         }
     }
-}
-
-/// Where a flow id currently points in the slab.
-pub(crate) enum SlotRef {
-    /// Index into `World::slots`.
-    Live(usize),
-    /// Both halves finished and the slot was recycled.
-    Retired,
-    /// Never seen (streaming: not yet arrived here).
-    Absent,
 }
 
 /// Runtime carried only by a world in streaming mode: the lazy flow
@@ -212,14 +197,18 @@ pub enum EnginePath {
     /// The fluid engine with a non-empty packet region. A regional run
     /// whose hot set comes out empty is the fluid engine byte for byte
     /// and reports [`EnginePath::Fluid`].
-    Regional,
+    Regional {
+        /// Switch ports the region simulated at packet level, after
+        /// deduplication.
+        hot_ports: usize,
+    },
 }
 
 impl std::fmt::Display for EnginePath {
     /// Comma-separated, the form `pmsb-sim` prints after `engine_path,`:
     /// `packet-sequential`, `packet-sharded,lps=N`,
     /// `sharded-fallback,lps=N,window=W,ambiguous_ties=T`, `fluid`,
-    /// `hybrid` or `regional`.
+    /// `hybrid` or `regional,hot_ports=N`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EnginePath::PacketSequential => write!(f, "packet-sequential"),
@@ -234,7 +223,7 @@ impl std::fmt::Display for EnginePath {
             ),
             EnginePath::Fluid => write!(f, "fluid"),
             EnginePath::Hybrid => write!(f, "hybrid"),
-            EnginePath::Regional => write!(f, "regional"),
+            EnginePath::Regional { hot_ports } => write!(f, "regional,hot_ports={hot_ports}"),
         }
     }
 }

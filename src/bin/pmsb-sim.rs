@@ -77,7 +77,8 @@ USAGE:
   runs do. Every run prints the path it took on stderr as one
   'engine_path,...' line (packet-sequential, packet-sharded,lps=N,
   sharded-fallback,lps=N,window=W,ambiguous_ties=T, fluid, hybrid or
-  regional). For many cells on many cores, campaign --jobs N is the
+  regional,hot_ports=N with N the switch ports simulated at packet
+  level). For many cells on many cores, campaign --jobs N is the
   dependable speedup. --partition picks how switches map to threads:
   'traffic' (default) grows balanced partitions weighted by the
   workload's expected traffic, 'contiguous' uses plain switch-index

@@ -89,6 +89,32 @@ fn zero_link_rate_exits_cleanly() {
 }
 
 #[test]
+fn overflowing_link_rates_exit_cleanly() {
+    // 18446744073 Gbps still fits u64 bits per second; 18446744074 does
+    // not. Both used to run to a nonsense result.
+    for gbps in ["18446744073", "18446744074"] {
+        assert_clean_config_error(
+            &["dumbbell", "--rate-gbps", gbps, "--flow", "0>2:0:100K"],
+            "accepted: 1..=1000000000 Gbps",
+        );
+    }
+}
+
+#[test]
+fn overflowing_link_delay_exits_cleanly() {
+    assert_clean_config_error(
+        &[
+            "dumbbell",
+            "--delay-ns",
+            "18446744073709551615",
+            "--flow",
+            "0>2:0:100K",
+        ],
+        "accepted: 0..=1000000000 ns",
+    );
+}
+
+#[test]
 fn flow_to_a_missing_host_exits_cleanly() {
     assert_clean_config_error(&["dumbbell", "--flow", "0>99:0:1M"], "accepted: hosts 0..3");
 }
@@ -181,6 +207,26 @@ fn runs_report_their_engine_path_on_stderr() {
     assert!(
         path.starts_with("packet-sharded,lps=2") || path.starts_with("sharded-fallback,lps=2,"),
         "{path}"
+    );
+}
+
+#[test]
+fn regional_runs_name_their_hot_port_count() {
+    let (ok, _, stderr) = pmsb_sim(&[
+        "fabric",
+        "--topology",
+        "fat-tree:4",
+        "--flows",
+        "40",
+        "--engine",
+        "regional:ports=0:0,0:1,0:0",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l == "engine_path,regional,hot_ports=2"),
+        "{stderr}"
     );
 }
 

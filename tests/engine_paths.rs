@@ -1,9 +1,12 @@
-//! Engine dispatch smoke tests: which path a run reports, and that a
-//! run at 2 simulation threads reproduces the 1-thread run whether it
-//! sharded end to end or fell back. The workspace's differential suites
+//! Engine dispatch smoke tests: which path a run reports, that a run at
+//! 2 simulation threads reproduces the 1-thread run whether it sharded
+//! end to end or fell back, and that a regional run with no hot port is
+//! the fluid engine byte for byte. The workspace's differential suites
 //! cover this in depth; these cells are small enough for a debug build.
 
-use pmsb_netsim::experiment::{EngineKind, EnginePath, Experiment, MarkingConfig, RunResults};
+use pmsb_netsim::experiment::{
+    EngineKind, EnginePath, Experiment, MarkingConfig, RegionSpec, RunResults,
+};
 use pmsb_workload::PatternSpec;
 
 /// Last incast epoch (25 epochs of 8 flows, 500 µs apart) plus drain.
@@ -70,4 +73,31 @@ fn fluid_run_reports_fluid() {
         .run_until_nanos(HORIZON_NANOS);
     assert_eq!(res.engine_path, EnginePath::Fluid);
     assert_eq!(res.engine_path.to_string(), "fluid");
+}
+
+#[test]
+fn regional_with_an_empty_hot_set_is_fluid_and_auto_names_its_hot_set() {
+    let fluid = cell(1)
+        .engine(EngineKind::Fluid)
+        .run_until_nanos(HORIZON_NANOS);
+    let empty = cell(1)
+        .engine(EngineKind::Regional)
+        .region(RegionSpec::Ports(vec![]))
+        .run_until_nanos(HORIZON_NANOS);
+    assert_eq!(empty.engine_path.to_string(), "fluid");
+    assert_eq!(fingerprint(&empty), fingerprint(&fluid));
+
+    let auto = cell(1)
+        .engine(EngineKind::Regional)
+        .region(RegionSpec::Auto)
+        .run_until_nanos(HORIZON_NANOS);
+    let EnginePath::Regional { hot_ports } = auto.engine_path else {
+        panic!("an auto region took {}", auto.engine_path);
+    };
+    assert!(hot_ports >= 1);
+    assert_eq!(
+        auto.engine_path.to_string(),
+        format!("regional,hot_ports={hot_ports}")
+    );
+    assert_eq!(auto.stream.as_ref().map(|s| s.completed), Some(FLOWS));
 }
