@@ -327,11 +327,20 @@ pub fn write_faults_report(out: &mut String, records: &[Record]) {
 /// sweep (see [`crate::hyperscale`]), the one campaign that runs on
 /// `opts.engine`. Streaming cells: the record holds sketch percentiles
 /// and the slab high-water mark, never a per-flow sample store.
-pub fn hyperscale_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
+///
+/// # Errors
+///
+/// The validation error of the first cell `opts` cannot run.
+pub fn hyperscale_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Result<Vec<Job>, String> {
     let (k, total_flows) = hyperscale::fabric_and_flows(quick);
     let mut jobs = Vec::new();
     for scheme in hyperscale::schemes() {
         for pattern in hyperscale::patterns(quick) {
+            // Validated here, so options the engine cannot run fail the
+            // campaign with one message instead of panicking in every job.
+            hyperscale::cell_experiment(&scheme, &pattern.1, k, total_flows, seed, opts)
+                .validate()
+                .map_err(|e| e.to_string())?;
             let name = scheme.0;
             let pattern_name = pattern.0;
             let scheme = scheme.clone();
@@ -361,7 +370,7 @@ pub fn hyperscale_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
             jobs.push(tag_buffer(job, opts));
         }
     }
-    jobs
+    Ok(jobs)
 }
 
 /// Writes the hyperscale table from completed records.
@@ -381,7 +390,12 @@ pub fn write_hyperscale_report(out: &mut String, records: &[Record]) {
 /// flow-level fast path is what makes 3456 hosts affordable as a
 /// campaign cell), so `opts.engine` and `opts.region` do not apply;
 /// records carry an explicit `engine=hybrid` parameter.
-pub fn hyperscale_k24_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
+///
+/// # Errors
+///
+/// The validation error of the first cell `opts` cannot run (a shared
+/// buffer policy: hybrid supports only `static`).
+pub fn hyperscale_k24_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Result<Vec<Job>, String> {
     k24_jobs("hyperscale_k24", EngineKind::Hybrid, quick, seed, opts)
 }
 
@@ -393,7 +407,7 @@ fn k24_jobs(
     quick: bool,
     seed: u64,
     opts: &SimOpts,
-) -> Vec<Job> {
+) -> Result<Vec<Job>, String> {
     let total_flows = hyperscale::k24_flows(quick);
     let pinned = SimOpts {
         engine,
@@ -403,6 +417,16 @@ fn k24_jobs(
     let mut jobs = Vec::new();
     for scheme in hyperscale::k24_schemes() {
         for pattern in hyperscale::k24_patterns() {
+            hyperscale::cell_experiment(
+                &scheme,
+                &pattern.1,
+                hyperscale::K24_FABRIC,
+                total_flows,
+                seed,
+                &pinned,
+            )
+            .validate()
+            .map_err(|e| e.to_string())?;
             let name = scheme.0;
             let pattern_name = pattern.0;
             let scheme = scheme.clone();
@@ -426,7 +450,7 @@ fn k24_jobs(
             ));
         }
     }
-    jobs
+    Ok(jobs)
 }
 
 /// Writes the k=24 table from completed records.
@@ -449,7 +473,15 @@ pub fn write_hyperscale_k24_report(out: &mut String, records: &[Record]) {
 /// The engine and its auto region are pinned per cell, so `opts.engine`
 /// and `opts.region` do not apply; records carry an explicit
 /// `engine=regional` parameter.
-pub fn hyperscale_k24_regional_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
+///
+/// # Errors
+///
+/// The validation error of the first cell `opts` cannot run.
+pub fn hyperscale_k24_regional_jobs(
+    quick: bool,
+    seed: u64,
+    opts: &SimOpts,
+) -> Result<Vec<Job>, String> {
     k24_jobs(
         "hyperscale_k24_regional",
         EngineKind::Regional,
@@ -629,9 +661,10 @@ pub const CAMPAIGN_NAMES: &[&str] = &[
 ///
 /// # Errors
 ///
-/// An unknown name, or a non-packet `opts.engine` for any campaign but
+/// An unknown name, a non-packet `opts.engine` for any campaign but
 /// `hyperscale` (the others are packet-engine cells, and the k=24
-/// campaigns pin their own engine), gives a one-line message.
+/// campaigns pin their own engine), or a hyperscale cell whose engine
+/// cannot run `opts` gives a one-line message before any job runs.
 pub fn campaign_by_name(name: &str, quick: bool, opts: &SimOpts) -> Result<Campaign, String> {
     let canonical = name.replace('-', "_");
     let campaign = match canonical.as_str() {
@@ -651,14 +684,14 @@ pub fn campaign_by_name(name: &str, quick: bool, opts: &SimOpts) -> Result<Campa
         }
         "faults" => campaign_from("faults", fault_jobs(quick, DEFAULT_SEED, opts)),
         "transport" => campaign_from("transport", transport_jobs(quick, DEFAULT_SEED, opts)),
-        "hyperscale" => campaign_from("hyperscale", hyperscale_jobs(quick, DEFAULT_SEED, opts)),
+        "hyperscale" => campaign_from("hyperscale", hyperscale_jobs(quick, DEFAULT_SEED, opts)?),
         "hyperscale_k24" => campaign_from(
             "hyperscale_k24",
-            hyperscale_k24_jobs(quick, DEFAULT_SEED, opts),
+            hyperscale_k24_jobs(quick, DEFAULT_SEED, opts)?,
         ),
         "hyperscale_k24_regional" => campaign_from(
             "hyperscale_k24_regional",
-            hyperscale_k24_regional_jobs(quick, DEFAULT_SEED, opts),
+            hyperscale_k24_regional_jobs(quick, DEFAULT_SEED, opts)?,
         ),
         "buffers" => campaign_from("buffers", buffer_jobs(quick, opts)),
         _ => {
@@ -808,7 +841,7 @@ mod tests {
 
     #[test]
     fn hyperscale_jobs_cover_the_grid() {
-        let jobs = hyperscale_jobs(true, DEFAULT_SEED, &SimOpts::default());
+        let jobs = hyperscale_jobs(true, DEFAULT_SEED, &SimOpts::default()).unwrap();
         // 4 schemes x 3 patterns.
         assert_eq!(jobs.len(), 12);
         let keys: std::collections::HashSet<String> = jobs.iter().map(|j| j.key()).collect();
@@ -820,7 +853,7 @@ mod tests {
 
     #[test]
     fn hyperscale_keys_name_the_engine_and_an_explicit_region() {
-        let key = |opts: &SimOpts| hyperscale_jobs(true, DEFAULT_SEED, opts)[0].key();
+        let key = |opts: &SimOpts| hyperscale_jobs(true, DEFAULT_SEED, opts).unwrap()[0].key();
         let auto = SimOpts {
             engine: EngineKind::Regional,
             ..SimOpts::default()
@@ -837,14 +870,14 @@ mod tests {
             key(&ports)
         );
         // A region never leaks into the pinned k=24 grids.
-        for job in hyperscale_k24_regional_jobs(true, DEFAULT_SEED, &ports) {
+        for job in hyperscale_k24_regional_jobs(true, DEFAULT_SEED, &ports).unwrap() {
             assert!(!job.key().contains("region="), "{}", job.key());
         }
     }
 
     #[test]
     fn hyperscale_k24_jobs_cover_the_grid() {
-        let jobs = hyperscale_k24_jobs(true, DEFAULT_SEED, &SimOpts::default());
+        let jobs = hyperscale_k24_jobs(true, DEFAULT_SEED, &SimOpts::default()).unwrap();
         // 2 schemes x 2 patterns.
         assert_eq!(jobs.len(), 4);
         let keys: std::collections::HashSet<String> = jobs.iter().map(|j| j.key()).collect();
@@ -856,7 +889,7 @@ mod tests {
 
     #[test]
     fn hyperscale_k24_regional_jobs_cover_the_grid() {
-        let jobs = hyperscale_k24_regional_jobs(true, DEFAULT_SEED, &SimOpts::default());
+        let jobs = hyperscale_k24_regional_jobs(true, DEFAULT_SEED, &SimOpts::default()).unwrap();
         // 2 schemes x 2 patterns, all pinned to the regional engine.
         assert_eq!(jobs.len(), 4);
         let keys: std::collections::HashSet<String> = jobs.iter().map(|j| j.key()).collect();

@@ -49,7 +49,7 @@ pub struct HsRow {
     /// that may read higher on sharded runs. It is therefore kept out of
     /// the harness record and the CSV — campaign records must stay
     /// byte-identical across thread counts — and reported instead by
-    /// `BENCH_pr6.json` and the `pmsb-sim fabric` diagnostics.
+    /// the `pmsb-sim fabric` diagnostics.
     pub slab_high_water: u64,
 }
 
@@ -154,6 +154,29 @@ pub fn k24_patterns() -> Vec<(&'static str, PatternSpec)> {
     ]
 }
 
+/// The experiment of one `(scheme, pattern)` streaming cell on a
+/// `fat_tree(k)` fabric under `opts`; [`run_cell`] runs it, and the
+/// campaigns validate it before any job runs.
+pub(crate) fn cell_experiment(
+    scheme_spec: &SchemeSpec,
+    pattern: &PatternSpec,
+    k: usize,
+    total_flows: u64,
+    seed: u64,
+    opts: &SimOpts,
+) -> Experiment {
+    let (_, marking, pmsbe) = scheme_spec;
+    let mut e = opts.apply(Experiment::fat_tree(k).marking(marking.clone()).stream(
+        pattern.clone(),
+        seed,
+        total_flows,
+    ));
+    if let Some(thr) = *pmsbe {
+        e = e.pmsbe_rtt_threshold_nanos(thr);
+    }
+    e
+}
+
 /// Runs one `(scheme, pattern)` streaming cell on a `fat_tree(k)`
 /// fabric under `opts` (the flow-level engines ignore
 /// `opts.sim_threads`; they are single-threaded by design). The horizon
@@ -166,7 +189,6 @@ pub fn run_cell(
     seed: u64,
     opts: &SimOpts,
 ) -> HsRow {
-    let (scheme, marking, pmsbe) = scheme_spec.clone();
     let (pattern_name, pattern) = pattern_spec;
     let num_hosts = k * k * k / 4;
     let last_start = pattern
@@ -174,15 +196,8 @@ pub fn run_cell(
         .last()
         .map(|f| f.start_nanos)
         .unwrap_or(0);
-    let mut e = opts.apply(Experiment::fat_tree(k).marking(marking).stream(
-        pattern.clone(),
-        seed,
-        total_flows,
-    ));
-    if let Some(thr) = pmsbe {
-        e = e.pmsbe_rtt_threshold_nanos(thr);
-    }
-    let res = e.run_until_nanos(last_start + 50_000_000);
+    let res = cell_experiment(scheme_spec, pattern, k, total_flows, seed, opts)
+        .run_until_nanos(last_start + 50_000_000);
     let s = res.stream.as_ref().expect("streaming run");
     let q = |p: f64| {
         s.sketch
@@ -191,7 +206,7 @@ pub fn run_cell(
             .unwrap_or(f64::NAN)
     };
     HsRow {
-        scheme,
+        scheme: scheme_spec.0,
         pattern: pattern_name,
         injected: s.injected,
         completed: s.completed,

@@ -37,8 +37,8 @@
 //! NAME` fans cells across `--jobs N` workers, persists one JSONL record
 //! per job under `results/<campaign>/`, and resumes completed jobs for
 //! free on rerun; `--quick` shortens every run for smoke-testing.
-//! [`micro`] holds the self-timed micro-benchmarks (the `microbench`
-//! binary).
+//! Timing the simulator is not this crate's job: `perfbench/` at the
+//! repository root is the benchmark (see `BENCHMARK.json`).
 
 pub mod buffers;
 pub mod campaigns;
@@ -47,7 +47,5 @@ pub mod faults;
 pub mod figures;
 pub mod hyperscale;
 pub mod large_scale;
-pub mod micro;
-pub mod report;
 pub mod transport;
 pub mod util;

@@ -461,7 +461,8 @@ impl Experiment {
     /// endpoints exist), that link rate and delay stay within the range
     /// the simulator's integer arithmetic carries, that the configured
     /// engine supports what the
-    /// experiment asks of it (fault schedules, shared buffer policies)
+    /// experiment asks of it (fault schedules, shared buffer policies,
+    /// at most 16 queues per port on the flow-level engines)
     /// and that every explicit region port exists in the topology.
     /// [`Experiment::run_until_nanos`] panics with the same error;
     /// callers that take configuration from users should call this
@@ -532,8 +533,7 @@ impl Experiment {
     }
 
     /// Builds the world and runs until `end_nanos` on the configured
-    /// engine (the dispatch itself lives behind the [`crate::engine`]
-    /// seam).
+    /// engine (dispatched in `crate::engine`).
     ///
     /// # Panics
     ///
@@ -693,6 +693,18 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("static|dt:ALPHA|delay[:MICROS]"));
         assert!(Experiment::fat_tree(4).buffer(shared).validate().is_ok());
+
+        let queues = |n, engine| Experiment::dumbbell(2, n).engine(engine).validate();
+        for engine in [EngineKind::Fluid, EngineKind::Hybrid, EngineKind::Regional] {
+            assert!(queues(16, engine).is_ok(), "{}", engine.name());
+            let err = queues(17, engine).unwrap_err().to_string();
+            assert!(
+                err.contains("at most 16 queues per port, got 17")
+                    && err.contains("accepted: 1..=16 queues"),
+                "{err}"
+            );
+        }
+        assert!(queues(20, EngineKind::Packet).is_ok());
 
         let regional = |ports| {
             Experiment::fat_tree(4)

@@ -69,10 +69,22 @@ use solver::{Solver, SolverFlow};
 /// the clock.
 const RESOLVE_QUANTUM_NANOS: u64 = 20_000;
 
+/// The most queues per port the flow-level engines model: a saturated
+/// link's active queues are one `u16` bitmask, and the hybrid
+/// calibration keeps one aggregate rate per queue.
+/// [`Experiment::validate`] rejects a fluid, hybrid or regional run
+/// whose scheduler has more.
+pub(crate) const MAX_QUEUES: usize = 16;
+
 /// Steady-state queue level a port converges to under the given
 /// marking/scheduler configuration with the given service classes
 /// active — the fluid model's closed-form standing queue, exposed for
 /// validation against heavy-traffic queueing theory.
+///
+/// # Panics
+///
+/// Panics when `scheduler` has more than 16 queues, the most the
+/// flow-level engines model.
 pub fn steady_state_queue_bytes(
     marking: &MarkingConfig,
     scheduler: &SchedulerConfig,
@@ -82,9 +94,13 @@ pub fn steady_state_queue_bytes(
 ) -> u64 {
     let weights = scheduler.weights();
     let nq = weights.len();
+    assert!(
+        nq <= MAX_QUEUES,
+        "the fluid model covers at most {MAX_QUEUES} queues per port, got {nq}"
+    );
     let mut mask = 0u16;
     for &s in active_services {
-        mask |= 1 << ((s % nq) as u16).min(15);
+        mask |= 1 << (s % nq);
     }
     let round_based = scheduler.build().round_time_nanos().is_some();
     onset::scan_onset(
@@ -137,7 +153,7 @@ struct SatLink {
     mask: u16,
     /// Aggregate allocated rate per queue, feeding the hybrid
     /// micro-sim's mix signature (switch links only).
-    qrate_bps: [u64; 16],
+    qrate_bps: [u64; MAX_QUEUES],
     /// Standing-queue delay this link adds to crossing flows' RTT.
     delay_nanos: u64,
     /// Hybrid: handle to the measured per-queue eligibility in the
@@ -401,7 +417,7 @@ impl<'w> Engine<'w> {
                 link: l,
                 nic: l < num_hosts,
                 mask: 0,
-                qrate_bps: [0; 16],
+                qrate_bps: [0; MAX_QUEUES],
                 delay_nanos: 0,
                 cal: None,
                 marks: false,
@@ -413,9 +429,9 @@ impl<'w> Engine<'w> {
                 if i != u32::MAX {
                     let s = &mut self.sats[i as usize];
                     let q = if s.nic { 0 } else { f.queue };
-                    s.mask |= 1 << q.min(15);
+                    s.mask |= 1 << q;
                     if self.hybrid && !s.nic {
-                        let slot = &mut s.qrate_bps[q.min(15) as usize];
+                        let slot = &mut s.qrate_bps[q as usize];
                         *slot = slot.saturating_add(f.rate_bps);
                     }
                 }

@@ -94,9 +94,7 @@ pub(super) fn scan_onset(
         return buffer_bytes;
     };
     let nq = weights.len();
-    let active: Vec<usize> = (0..nq.min(16))
-        .filter(|q| active_queues & (1 << q) != 0)
-        .collect();
+    let active: Vec<usize> = (0..nq).filter(|q| active_queues & (1 << q) != 0).collect();
     let active = if active.is_empty() { vec![0] } else { active };
     let m = active.len() as u64;
     let pkt = MTU_WIRE_BYTES;

@@ -137,6 +137,41 @@ fn marking_rate_ordering_is_preserved() {
     assert_eq!(e.run_for_millis(100).marks, 0, "no scheme, no marks");
 }
 
+/// Hybrid ranks PMSB below per-port on marks, as packet does, on the
+/// fat_tree(4) streamed incast (`pmsb-sim fabric --topology fat-tree:4
+/// --pattern incast --flows 300`, seed 42). Packet gives 3,458 vs
+/// 3,762 marks and hybrid 1,560 vs 3,900. Plain fluid ties at 3,900
+/// each (not asserted): its steady-state marking curves cannot tell the
+/// two schemes apart here, while hybrid's per-port packet micro-sims
+/// can. That ranking is why the hybrid engine is kept next to fluid.
+#[test]
+fn hybrid_ranks_pmsb_below_per_port_like_packet() {
+    use pmsb_workload::PatternSpec;
+    let marks = |engine, marking| {
+        let e = Experiment::fat_tree(4).marking(marking).engine(engine);
+        let pattern = PatternSpec::incast(32);
+        let last_start = pattern
+            .flows(e.num_hosts(), 42, 300)
+            .last()
+            .map_or(0, |f| f.start_nanos);
+        e.stream(pattern, 42, 300)
+            .run_until_nanos(last_start + 50_000_000)
+            .marks
+    };
+    let pmsb = MarkingConfig::Pmsb {
+        port_threshold_pkts: 12,
+    };
+    let per_port = MarkingConfig::PerPort { threshold_pkts: 12 };
+    for engine in [EngineKind::Packet, EngineKind::Hybrid] {
+        let (p, pp) = (marks(engine, pmsb.clone()), marks(engine, per_port.clone()));
+        assert!(
+            p < pp,
+            "{}: PMSB ({p}) must mark less than per-port ({pp})",
+            engine.name()
+        );
+    }
+}
+
 /// The fluid standing-queue closed forms against the heavy-traffic
 /// limits for a saturated port serving two queues: per-queue marking
 /// holds each of the `m` backlogged queues at its threshold `K`, so the

@@ -5,8 +5,7 @@
 //! (time, seq) order the simulator contract demands, with none of the
 //! timing-wheel machinery. The production [`crate::EventQueue`] must
 //! pop the *identical* sequence on any workload — see
-//! `tests/fel_differential.rs` and the `microbench` determinism
-//! cross-check.
+//! `tests/fel_differential.rs`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

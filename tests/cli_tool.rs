@@ -115,6 +115,22 @@ fn overflowing_link_delay_exits_cleanly() {
 }
 
 #[test]
+fn flow_level_engines_reject_more_than_16_queues() {
+    assert_clean_config_error(
+        &[
+            "dumbbell",
+            "--queues",
+            "20",
+            "--engine",
+            "hybrid",
+            "--flow",
+            "0>2:16:2M",
+        ],
+        "accepted: 1..=16 queues",
+    );
+}
+
+#[test]
 fn flow_to_a_missing_host_exits_cleanly() {
     assert_clean_config_error(&["dumbbell", "--flow", "0>99:0:1M"], "accepted: hosts 0..3");
 }
@@ -142,6 +158,55 @@ fn results_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("pmsb-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// A campaign whose cells cannot run under its options exits with one
+/// `error:` line before any job runs or any result file is written.
+fn assert_campaign_rejected(tag: &str, args: &[&str], accepted: &str) {
+    let dir = results_dir(tag);
+    let mut args = args.to_vec();
+    args.extend(["--results", dir.to_str().unwrap()]);
+    assert_clean_config_error(&args, accepted);
+    assert!(!dir.exists(), "{args:?} wrote {}", dir.display());
+}
+
+#[test]
+fn campaign_buffer_its_engine_cannot_model_fails_before_any_job() {
+    let accepted = "accepted: static|dt:ALPHA|delay[:MICROS]";
+    assert_campaign_rejected(
+        "fluid-dt",
+        &[
+            "campaign",
+            "hyperscale",
+            "--quick",
+            "--engine",
+            "fluid",
+            "--buffer",
+            "dt:1",
+        ],
+        accepted,
+    );
+    // The k=24 campaign pins the hybrid engine, which is static-only too.
+    assert_campaign_rejected(
+        "k24-dt",
+        &["campaign", "hyperscale-k24", "--quick", "--buffer", "dt:1"],
+        accepted,
+    );
+}
+
+#[test]
+fn campaign_region_port_outside_the_fabric_fails_before_any_job() {
+    assert_campaign_rejected(
+        "region-999",
+        &[
+            "campaign",
+            "hyperscale",
+            "--quick",
+            "--engine",
+            "regional:ports=999:0",
+        ],
+        "accepted: SWITCH:PORT with SWITCH in 0..20",
+    );
 }
 
 #[test]
