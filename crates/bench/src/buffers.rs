@@ -21,7 +21,7 @@ use pmsb_netsim::packet::MTU_WIRE_BYTES;
 use pmsb_netsim::BufferPolicy;
 
 use crate::outln;
-use crate::util::{banner, SimOpts};
+use crate::util::{fct_us, metric, SimOpts};
 
 /// Fabric shape, shared with the fault and transport sweeps: 2 leaves x
 /// 2 spines x 4 hosts per leaf.
@@ -64,37 +64,6 @@ pub fn regimes() -> Vec<(&'static str, u64)> {
     ]
 }
 
-/// One `(scheme, policy, regime)` cell of the sweep.
-#[derive(Debug, Clone)]
-pub struct BufRow {
-    /// Scheme name (the transport campaign's marking lineup).
-    pub scheme: &'static str,
-    /// Buffer policy CLI name (`static` / `dt:1` / `delay:100`).
-    pub buffer: String,
-    /// Memory regime (`normal` / `tiny`).
-    pub regime: &'static str,
-    /// Completed flows.
-    pub completed: usize,
-    /// Injected flows.
-    pub injected: usize,
-    /// Overall average FCT, µs.
-    pub overall_avg_us: f64,
-    /// Small-flow 99th-percentile FCT, µs.
-    pub small_p99_us: f64,
-    /// CE marks applied by switches.
-    pub marks: u64,
-    /// All packet drops (per-port tail drops + pool rejections).
-    pub drops: u64,
-    /// Packets the shared pools refused (0 under `static`).
-    pub shared_drops: u64,
-    /// Pool refusals from the policy cap while pool space remained.
-    pub admit_rejects: u64,
-    /// Peak occupancy of the fullest pool, bytes (0 under `static`).
-    pub pool_high_water: u64,
-    /// Retransmission timeouts across all senders.
-    pub timeouts: u64,
-}
-
 /// The incast flow list: every host except the aggregator (host 0)
 /// ships one response per epoch, all starting at the same instant —
 /// service queues spread by sender so multi-queue marking has work to
@@ -112,18 +81,17 @@ fn incast_flows(epochs: u64) -> Vec<FlowDesc> {
 }
 
 /// Runs one `(scheme, policy, regime)` cell under `opts`; the cell's
-/// own `policy` replaces `opts.buffer`.
-#[allow(clippy::too_many_arguments)]
+/// own `policy` replaces `opts.buffer`. Returns its record: every column
+/// of [`CSV_HEADER`] but the `scheme`, `buffer` and `regime` job
+/// parameters.
 pub fn run_cell(
-    scheme: &'static str,
     marking: MarkingConfig,
     pmsbe: Option<u64>,
     policy: BufferPolicy,
-    regime: &'static str,
     port_bytes: u64,
     epochs: u64,
     opts: &SimOpts,
-) -> BufRow {
+) -> Record {
     let mut e = opts
         .apply(Experiment::leaf_spine(LEAVES, SPINES, HOSTS_PER_LEAF).marking(marking))
         .buffer(policy)
@@ -139,25 +107,24 @@ pub fn run_cell(
     // room to finish so the tail percentiles are about the survivors'
     // real cost, not the cutoff.
     let res = e.run_until_nanos(last + 2_000_000_000);
-    let stat = |c: SizeClass, f: fn(&pmsb_metrics::Summary) -> f64| {
-        res.fct.stats(c).map(|s| f(&s) / 1e3).unwrap_or(f64::NAN)
-    };
     let sb = res.shared_buffer.unwrap_or_default();
-    BufRow {
-        scheme,
-        buffer: policy.name(),
-        regime,
-        completed: res.fct.len(),
-        injected,
-        overall_avg_us: stat(SizeClass::Overall, |s| s.mean),
-        small_p99_us: stat(SizeClass::Small, |s| s.p99),
-        marks: res.marks,
-        drops: res.drops,
-        shared_drops: sb.shared_drops,
-        admit_rejects: sb.admit_rejects,
-        pool_high_water: sb.pool_high_water_bytes,
-        timeouts: res.sender_stats.values().map(|s| s.timeouts).sum(),
-    }
+    Record::new()
+        .field("completed", res.fct.len())
+        .field("injected", injected)
+        .field(
+            "overall_avg_us",
+            fct_us(&res, SizeClass::Overall, |s| s.mean),
+        )
+        .field("small_p99_us", fct_us(&res, SizeClass::Small, |s| s.p99))
+        .field("marks", res.marks)
+        .field("drops", res.drops)
+        .field("shared_drops", sb.shared_drops)
+        .field("admit_rejects", sb.admit_rejects)
+        .field("pool_high_water", sb.pool_high_water_bytes)
+        .field(
+            "timeouts",
+            res.sender_stats.values().map(|s| s.timeouts).sum::<u64>(),
+        )
 }
 
 /// The epoch count of the sweep (or the `--quick` smoke version).
@@ -169,125 +136,56 @@ pub fn num_epochs(quick: bool) -> u64 {
     }
 }
 
-/// The CSV header matching [`csv_line`].
+/// The columns of the buffer-contention table.
 pub const CSV_HEADER: &str = "scheme,buffer,regime,completed,injected,overall_avg_us,\
                               small_p99_us,marks,drops,shared_drops,admit_rejects,\
                               pool_high_water,timeouts";
-
-/// One [`BufRow`] as a CSV line (no newline).
-pub fn csv_line(row: &BufRow) -> String {
-    format!(
-        "{},{},{},{},{},{:.1},{:.1},{},{},{},{},{},{}",
-        row.scheme,
-        row.buffer,
-        row.regime,
-        row.completed,
-        row.injected,
-        row.overall_avg_us,
-        row.small_p99_us,
-        row.marks,
-        row.drops,
-        row.shared_drops,
-        row.admit_rejects,
-        row.pool_high_water,
-        row.timeouts
-    )
-}
-
-/// The harness-record payload of one cell.
-pub fn row_record(row: &BufRow) -> Record {
-    Record::new()
-        .field("completed", row.completed)
-        .field("injected", row.injected)
-        .field("overall_avg_us", row.overall_avg_us)
-        .field("small_p99_us", row.small_p99_us)
-        .field("marks", row.marks)
-        .field("drops", row.drops)
-        .field("shared_drops", row.shared_drops)
-        .field("admit_rejects", row.admit_rejects)
-        .field("pool_high_water", row.pool_high_water)
-        .field("timeouts", row.timeouts)
-}
-
-/// Rebuilds a [`BufRow`] from a record written by [`row_record`] (with
-/// `scheme`, `buffer` and `regime` job parameters).
-pub fn row_from_record(rec: &Record) -> Option<BufRow> {
-    let scheme = crate::transport::schemes()
-        .into_iter()
-        .map(|(name, _, _)| name)
-        .find(|s| rec.get_str("scheme") == Some(s))?;
-    let buffer = policies()
-        .into_iter()
-        .map(|p| p.name())
-        .find(|b| rec.get_str("buffer") == Some(b))?;
-    let regime = regimes()
-        .into_iter()
-        .map(|(name, _)| name)
-        .find(|r| rec.get_str("regime") == Some(r))?;
-    let f = |k: &str| rec.get_f64(k);
-    Some(BufRow {
-        scheme,
-        buffer,
-        regime,
-        completed: f("completed")? as usize,
-        injected: f("injected")? as usize,
-        overall_avg_us: f("overall_avg_us")?,
-        small_p99_us: f("small_p99_us")?,
-        marks: f("marks")? as u64,
-        drops: f("drops")? as u64,
-        shared_drops: f("shared_drops")? as u64,
-        admit_rejects: f("admit_rejects")? as u64,
-        pool_high_water: f("pool_high_water")? as u64,
-        timeouts: f("timeouts")? as u64,
-    })
-}
 
 /// The report title.
 pub const BUFFERS_TITLE: &str =
     "Buffers: marking schemes under shared-pool contention (7-to-1 incast, 2x2 leaf-spine)";
 
-/// Writes the sweep table plus headline observations for a completed
-/// set of cells.
-pub fn write_report(out: &mut String, rows: &[BufRow]) {
-    banner(out, BUFFERS_TITLE);
-    outln!(out, "{CSV_HEADER}");
-    for row in rows {
-        outln!(out, "{}", csv_line(row));
-    }
-    let cell = |scheme: &str, buffer: &str, regime: &str| {
-        rows.iter()
-            .find(|r| r.scheme == scheme && r.buffer == buffer && r.regime == regime)
+/// Writes the headline observations: each scheme's tiny-regime small-flow
+/// tail under every policy, and every cell where the policy cap refused
+/// packets while pool space remained.
+pub fn write_headlines(out: &mut String, records: &[&Record]) {
+    let cell = |scheme: &str, buffer: &str| {
+        records.iter().find(|r| {
+            r.get_str("scheme") == Some(scheme)
+                && r.get_str("buffer") == Some(buffer)
+                && r.get_str("regime") == Some("tiny")
+        })
     };
     for (scheme, _, _) in crate::transport::schemes() {
         if let (Some(st), Some(dt), Some(dl)) = (
-            cell(scheme, "static", "tiny"),
-            cell(scheme, "dt:1", "tiny"),
-            cell(scheme, "delay:100", "tiny"),
+            cell(scheme, "static"),
+            cell(scheme, "dt:1"),
+            cell(scheme, "delay:100"),
         ) {
             outln!(
                 out,
                 "# {scheme} @ tiny: small p99 {:.1} us static vs {:.1} dt \
                  vs {:.1} delay (shared drops {} / {})",
-                st.small_p99_us,
-                dt.small_p99_us,
-                dl.small_p99_us,
-                dt.shared_drops,
-                dl.shared_drops
+                metric(st, "small_p99_us"),
+                metric(dt, "small_p99_us"),
+                metric(dl, "small_p99_us"),
+                metric(dt, "shared_drops"),
+                metric(dl, "shared_drops")
             );
         }
     }
-    for r in rows {
-        if r.admit_rejects > 0 {
+    for r in records {
+        let rejects = metric(r, "admit_rejects");
+        if rejects > 0.0 {
             outln!(
                 out,
-                "# {}/{}/{}: policy cap refused {} of {} pool rejections \
+                "# {}/{}/{}: policy cap refused {rejects} of {} pool rejections \
                  (pool peaked at {} bytes)",
-                r.scheme,
-                r.buffer,
-                r.regime,
-                r.admit_rejects,
-                r.shared_drops,
-                r.pool_high_water
+                r.get_str("scheme").unwrap_or_default(),
+                r.get_str("buffer").unwrap_or_default(),
+                r.get_str("regime").unwrap_or_default(),
+                metric(r, "shared_drops"),
+                metric(r, "pool_high_water")
             );
         }
     }
@@ -296,52 +194,22 @@ pub fn write_report(out: &mut String, rows: &[BufRow]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn row_round_trips_through_record() {
-        let row = BufRow {
-            scheme: "pmsb",
-            buffer: "dt:1".into(),
-            regime: "tiny",
-            completed: 30,
-            injected: 35,
-            overall_avg_us: 812.5,
-            small_p99_us: 4031.0,
-            marks: 120,
-            drops: 44,
-            shared_drops: 40,
-            admit_rejects: 11,
-            pool_high_water: 36_000,
-            timeouts: 5,
-        };
-        let rec = row_record(&row)
-            .field("scheme", "pmsb")
-            .field("buffer", "dt:1")
-            .field("regime", "tiny");
-        let back = row_from_record(&rec).expect("round-trip");
-        assert_eq!(back.scheme, row.scheme);
-        assert_eq!(back.buffer, row.buffer);
-        assert_eq!(back.regime, row.regime);
-        assert_eq!(back.shared_drops, row.shared_drops);
-        assert_eq!(back.admit_rejects, row.admit_rejects);
-        assert_eq!(back.pool_high_water, row.pool_high_water);
-    }
+    use crate::util::tests::assert_fills_columns;
 
     #[test]
     fn static_cells_report_no_pool_activity() {
-        let row = run_cell(
-            "per-port",
+        let rec = run_cell(
             MarkingConfig::PerPort { threshold_pkts: 12 },
             None,
             BufferPolicy::Static,
-            "normal",
             2 * 1024 * 1024,
             2,
             &SimOpts::default(),
         );
-        assert!(row.completed > 0);
-        assert_eq!(row.shared_drops, 0, "no pool under static");
-        assert_eq!(row.pool_high_water, 0);
+        assert_fills_columns(&rec, CSV_HEADER);
+        assert!(metric(&rec, "completed") > 0.0);
+        assert_eq!(metric(&rec, "shared_drops"), 0.0, "no pool under static");
+        assert_eq!(metric(&rec, "pool_high_water"), 0.0);
     }
 
     #[test]
@@ -352,24 +220,26 @@ mod tests {
                 target_delay_nanos: 100_000,
             },
         ] {
-            let row = run_cell(
-                "pmsb",
+            let rec = run_cell(
                 MarkingConfig::Pmsb {
                     port_threshold_pkts: 12,
                 },
                 None,
                 policy,
-                "tiny",
                 4 * MTU_WIRE_BYTES,
                 2,
                 &SimOpts::default(),
             );
+            assert_fills_columns(&rec, CSV_HEADER);
             assert!(
-                row.shared_drops > 0,
+                metric(&rec, "shared_drops") > 0.0,
                 "{policy:?}: a 7-to-1 incast must overrun a 4-MTU pool"
             );
-            assert!(row.pool_high_water > 0);
-            assert!(row.completed > 0, "{policy:?}: survivors still finish");
+            assert!(metric(&rec, "pool_high_water") > 0.0);
+            assert!(
+                metric(&rec, "completed") > 0.0,
+                "{policy:?}: survivors still finish"
+            );
         }
     }
 }

@@ -13,9 +13,8 @@ use pmsb_harness::{Campaign, CampaignResult, Job, Record};
 use pmsb_netsim::experiment::SchedulerConfig;
 use pmsb_netsim::{EngineKind, RegionSpec};
 
-use crate::large_scale::{self, LsRow};
-use crate::util::{banner, SimOpts};
-use crate::{buffers, extensions, faults, figures, hyperscale, outln, transport};
+use crate::util::{banner, write_table, SimOpts};
+use crate::{buffers, extensions, faults, figures, hyperscale, large_scale, outln, transport};
 
 /// The seed used by single-seed sweeps, matching the paper runs.
 pub const DEFAULT_SEED: u64 = 42;
@@ -257,7 +256,8 @@ pub fn large_scale_jobs(
     let mut jobs = Vec::new();
     for &seed in seeds {
         for &load in loads {
-            for (name, marking, pmsbe, point) in large_scale::schemes(include_mq_ecn) {
+            for scheme in large_scale::schemes(include_mq_ecn) {
+                let name = scheme.0;
                 let cell_opts = opts.clone();
                 jobs.push(tag_buffer(
                     Job::new(scenario, seed, move || {
@@ -270,9 +270,7 @@ pub fn large_scale_jobs(
                                 weights: vec![1; 8],
                             }
                         };
-                        large_scale::row_record(&large_scale::run_cell(
-                            sched, name, marking, pmsbe, point, load, num_flows, seed, &cell_opts,
-                        ))
+                        large_scale::run_cell(sched, &scheme, load, num_flows, seed, &cell_opts)
                     })
                     .param("scheduler", scheduler)
                     .param("scheme", name)
@@ -297,9 +295,7 @@ pub fn fault_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
             let cell_opts = opts.clone();
             jobs.push(tag_buffer(
                 Job::new("faults", seed, move || {
-                    faults::row_record(&faults::run_cell(
-                        name, marking, profile, num_flows, seed, &cell_opts,
-                    ))
+                    faults::run_cell(marking, profile, num_flows, seed, &cell_opts)
                 })
                 .param("scheme", name)
                 .param("profile", *profile)
@@ -311,22 +307,10 @@ pub fn fault_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
     jobs
 }
 
-/// Writes the fault-sweep table from completed records.
-pub fn write_faults_report(out: &mut String, records: &[Record]) {
-    let rows: Vec<faults::FaultRow> = records
-        .iter()
-        .filter(|r| r.get_str("scenario") == Some("faults"))
-        .filter_map(faults::row_from_record)
-        .collect();
-    if !rows.is_empty() {
-        faults::write_report(out, &rows);
-    }
-}
-
 /// One job per `(scheme, pattern)` cell of the hyperscale fat-tree
 /// sweep (see [`crate::hyperscale`]), the one campaign that runs on
-/// `opts.engine`. Streaming cells: the record holds sketch percentiles
-/// and the slab high-water mark, never a per-flow sample store.
+/// `opts.engine`. Streaming cells: the record holds sketch percentiles,
+/// never a per-flow sample store.
 ///
 /// # Errors
 ///
@@ -346,14 +330,7 @@ pub fn hyperscale_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Result<Vec<Job
             let scheme = scheme.clone();
             let cell_opts = opts.clone();
             let mut job = Job::new("hyperscale", seed, move || {
-                hyperscale::row_record(&hyperscale::run_cell(
-                    &scheme,
-                    &pattern,
-                    k,
-                    total_flows,
-                    seed,
-                    &cell_opts,
-                ))
+                hyperscale::run_cell(&scheme, &pattern.1, k, total_flows, seed, &cell_opts)
             })
             .param("scheme", name)
             .param("pattern", pattern_name)
@@ -371,18 +348,6 @@ pub fn hyperscale_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Result<Vec<Job
         }
     }
     Ok(jobs)
-}
-
-/// Writes the hyperscale table from completed records.
-pub fn write_hyperscale_report(out: &mut String, records: &[Record]) {
-    let rows: Vec<hyperscale::HsRow> = records
-        .iter()
-        .filter(|r| r.get_str("scenario") == Some("hyperscale"))
-        .filter_map(hyperscale::row_from_record)
-        .collect();
-    if !rows.is_empty() {
-        hyperscale::write_report(out, &rows);
-    }
 }
 
 /// One job per `(scheme, pattern)` cell of the k=24 grid — the ROADMAP's
@@ -433,14 +398,14 @@ fn k24_jobs(
             let cell_opts = pinned.clone();
             jobs.push(tag_buffer(
                 Job::new(scenario, seed, move || {
-                    hyperscale::row_record(&hyperscale::run_cell(
+                    hyperscale::run_cell(
                         &scheme,
-                        &pattern,
+                        &pattern.1,
                         hyperscale::K24_FABRIC,
                         total_flows,
                         seed,
                         &cell_opts,
-                    ))
+                    )
                 })
                 .param("scheme", name)
                 .param("pattern", pattern_name)
@@ -451,18 +416,6 @@ fn k24_jobs(
         }
     }
     Ok(jobs)
-}
-
-/// Writes the k=24 table from completed records.
-pub fn write_hyperscale_k24_report(out: &mut String, records: &[Record]) {
-    let rows: Vec<hyperscale::HsRow> = records
-        .iter()
-        .filter(|r| r.get_str("scenario") == Some("hyperscale_k24"))
-        .filter_map(hyperscale::row_from_record)
-        .collect();
-    if !rows.is_empty() {
-        hyperscale::write_k24_report(out, &rows);
-    }
 }
 
 /// One job per `(scheme, pattern)` cell of the *regional* k=24 grid: the
@@ -491,18 +444,6 @@ pub fn hyperscale_k24_regional_jobs(
     )
 }
 
-/// Writes the regional k=24 table from completed records.
-pub fn write_hyperscale_k24_regional_report(out: &mut String, records: &[Record]) {
-    let rows: Vec<hyperscale::HsRow> = records
-        .iter()
-        .filter(|r| r.get_str("scenario") == Some("hyperscale_k24_regional"))
-        .filter_map(hyperscale::row_from_record)
-        .collect();
-    if !rows.is_empty() {
-        hyperscale::write_k24_regional_report(out, &rows);
-    }
-}
-
 /// One job per `(transport, scheme)` cell of the transport sweep (see
 /// [`crate::transport`]).
 pub fn transport_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
@@ -513,9 +454,7 @@ pub fn transport_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
             let cell_opts = opts.clone();
             jobs.push(tag_buffer(
                 Job::new("transport", seed, move || {
-                    transport::row_record(&transport::run_cell(
-                        kind, name, marking, pmsbe, num_flows, seed, &cell_opts,
-                    ))
+                    transport::run_cell(kind, marking, pmsbe, num_flows, seed, &cell_opts)
                 })
                 .param("transport", kind.name())
                 .param("scheme", name)
@@ -525,18 +464,6 @@ pub fn transport_jobs(quick: bool, seed: u64, opts: &SimOpts) -> Vec<Job> {
         }
     }
     jobs
-}
-
-/// Writes the transport-sweep table from completed records.
-pub fn write_transport_report(out: &mut String, records: &[Record]) {
-    let rows: Vec<transport::TransportRow> = records
-        .iter()
-        .filter(|r| r.get_str("scenario") == Some("transport"))
-        .filter_map(transport::row_from_record)
-        .collect();
-    if !rows.is_empty() {
-        transport::write_report(out, &rows);
-    }
 }
 
 /// One job per `(scheme, buffer policy, memory regime)` cell of the
@@ -554,9 +481,7 @@ pub fn buffer_jobs(quick: bool, opts: &SimOpts) -> Vec<Job> {
                 let cell_opts = opts.clone();
                 jobs.push(
                     Job::new("buffers", 0, move || {
-                        buffers::row_record(&buffers::run_cell(
-                            scheme, marking, pmsbe, policy, regime, port_bytes, epochs, &cell_opts,
-                        ))
+                        buffers::run_cell(marking, pmsbe, policy, port_bytes, epochs, &cell_opts)
                     })
                     .param("scheme", scheme)
                     .param("buffer", policy.name())
@@ -569,44 +494,30 @@ pub fn buffer_jobs(quick: bool, opts: &SimOpts) -> Vec<Job> {
     jobs
 }
 
-/// Writes the buffer-contention table from completed records.
-pub fn write_buffers_report(out: &mut String, records: &[Record]) {
-    let rows: Vec<buffers::BufRow> = records
-        .iter()
-        .filter(|r| r.get_str("scenario") == Some("buffers"))
-        .filter_map(buffers::row_from_record)
-        .collect();
-    if !rows.is_empty() {
-        buffers::write_report(out, &rows);
-    }
-}
-
 /// One job per `(scheme, seed)` of the seed-sensitivity study: the
 /// headline PMSB-vs-TCN comparison (DWRR, load 0.5) across seeds.
 pub fn seed_sensitivity_jobs(quick: bool, opts: &SimOpts) -> Vec<Job> {
     let num_flows = if quick { 250 } else { 800 };
     let mut jobs = Vec::new();
     for &seed in &SENSITIVITY_SEEDS {
-        for (name, marking, pmsbe, point) in large_scale::schemes(false) {
+        for scheme in large_scale::schemes(false) {
+            let name = scheme.0;
             if name != "pmsb" && name != "tcn" {
                 continue;
             }
             let cell_opts = opts.clone();
             jobs.push(tag_buffer(
                 Job::new("seed_sensitivity", seed, move || {
-                    large_scale::row_record(&large_scale::run_cell(
+                    large_scale::run_cell(
                         SchedulerConfig::Dwrr {
                             weights: vec![1; 8],
                         },
-                        name,
-                        marking,
-                        pmsbe,
-                        point,
+                        &scheme,
                         0.5,
                         num_flows,
                         seed,
                         &cell_opts,
-                    ))
+                    )
                 })
                 .param("scheduler", "dwrr")
                 .param("scheme", name)
@@ -719,22 +630,81 @@ pub fn campaign_by_name(name: &str, quick: bool, opts: &SimOpts) -> Result<Campa
     Ok(campaign)
 }
 
-/// Writes the seed-sensitivity summary table from completed records.
-pub fn write_seed_sensitivity_report(out: &mut String, records: &[Record]) {
+/// Writes a sweep's `#` headline lines from its records.
+type Headlines = fn(&mut String, &[&Record]);
+
+/// Every record-backed table a campaign prints after its per-job
+/// reports, in print order: `(scenario, title, columns, headlines)`.
+/// A table prints one CSV row per record of its scenario, then its
+/// headlines. Seed sensitivity pivots its cells into one row per seed,
+/// so it has no per-record columns and its headline writer prints the
+/// pivot.
+const SWEEP_TABLES: [(&str, &str, Option<&str>, Headlines); 9] = [
+    (
+        "fig16_21",
+        large_scale::FIG16_21_TITLE,
+        Some(large_scale::CSV_HEADER),
+        large_scale::write_headlines,
+    ),
+    (
+        "fig22_27",
+        large_scale::FIG22_27_TITLE,
+        Some(large_scale::CSV_HEADER),
+        large_scale::write_headlines,
+    ),
+    (
+        "seed_sensitivity",
+        "Extension: seed sensitivity of the PMSB vs TCN small-flow p99 reduction",
+        None,
+        write_seed_sensitivity_pivot,
+    ),
+    (
+        "faults",
+        faults::FAULTS_TITLE,
+        Some(faults::CSV_HEADER),
+        faults::write_headlines,
+    ),
+    (
+        "transport",
+        transport::TRANSPORT_TITLE,
+        Some(transport::CSV_HEADER),
+        transport::write_headlines,
+    ),
+    (
+        "hyperscale",
+        hyperscale::HYPERSCALE_TITLE,
+        Some(hyperscale::CSV_HEADER),
+        hyperscale::write_headlines,
+    ),
+    (
+        "hyperscale_k24",
+        hyperscale::K24_TITLE,
+        Some(hyperscale::CSV_HEADER),
+        hyperscale::write_k24_headlines,
+    ),
+    (
+        "hyperscale_k24_regional",
+        hyperscale::K24_REGIONAL_TITLE,
+        Some(hyperscale::CSV_HEADER),
+        hyperscale::write_k24_regional_headlines,
+    ),
+    (
+        "buffers",
+        buffers::BUFFERS_TITLE,
+        Some(buffers::CSV_HEADER),
+        buffers::write_headlines,
+    ),
+];
+
+/// Writes the seed-sensitivity pivot from its records: one row per seed
+/// of the PMSB and TCN small-flow p99 and the reduction between them.
+fn write_seed_sensitivity_pivot(out: &mut String, records: &[&Record]) {
     let cell = |seed: u64, scheme: &str| -> Option<f64> {
         records
             .iter()
-            .find(|r| {
-                r.get_str("scenario") == Some("seed_sensitivity")
-                    && r.get_f64("seed") == Some(seed as f64)
-                    && r.get_str("scheme") == Some(scheme)
-            })
+            .find(|r| r.get_f64("seed") == Some(seed as f64) && r.get_str("scheme") == Some(scheme))
             .and_then(|r| r.get_f64("small_p99_us"))
     };
-    banner(
-        out,
-        "Extension: seed sensitivity of the PMSB vs TCN small-flow p99 reduction",
-    );
     outln!(out, "seed,pmsb_small_p99_us,tcn_small_p99_us,reduction");
     for &seed in &SENSITIVITY_SEEDS {
         if let (Some(p), Some(t)) = (cell(seed, "pmsb"), cell(seed, "tcn")) {
@@ -745,40 +715,28 @@ pub fn write_seed_sensitivity_report(out: &mut String, records: &[Record]) {
 }
 
 /// Assembles and prints everything a finished campaign has to show:
-/// per-experiment reports in job order, then the large-scale sweep
-/// tables and the seed-sensitivity summary reconstructed from records.
+/// per-experiment reports in job order, then every [`SWEEP_TABLES`]
+/// table that has records.
 pub fn print_campaign_output(result: &CampaignResult) {
     for report in result.reports() {
         print!("{report}");
     }
     let mut out = String::new();
-    for (scenario, title) in [
-        ("fig16_21", large_scale::FIG16_21_TITLE),
-        ("fig22_27", large_scale::FIG22_27_TITLE),
-    ] {
-        let rows: Vec<LsRow> = result
+    for (scenario, title, columns, headlines) in SWEEP_TABLES {
+        let records: Vec<&Record> = result
             .records
             .iter()
             .filter(|r| r.get_str("scenario") == Some(scenario))
-            .filter_map(large_scale::row_from_record)
             .collect();
-        if !rows.is_empty() {
-            large_scale::write_sweep_report(&mut out, title, &rows);
+        if records.is_empty() {
+            continue;
         }
+        match columns {
+            Some(columns) => write_table(&mut out, title, columns, &records),
+            None => banner(&mut out, title),
+        }
+        headlines(&mut out, &records);
     }
-    if result
-        .records
-        .iter()
-        .any(|r| r.get_str("scenario") == Some("seed_sensitivity"))
-    {
-        write_seed_sensitivity_report(&mut out, &result.records);
-    }
-    write_faults_report(&mut out, &result.records);
-    write_transport_report(&mut out, &result.records);
-    write_hyperscale_report(&mut out, &result.records);
-    write_hyperscale_k24_report(&mut out, &result.records);
-    write_hyperscale_k24_regional_report(&mut out, &result.records);
-    write_buffers_report(&mut out, &result.records);
     print!("{out}");
 }
 
@@ -925,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn seed_sensitivity_report_reconstructs_from_records() {
+    fn seed_sensitivity_pivot_reconstructs_from_records() {
         let mut records = Vec::new();
         for &seed in &SENSITIVITY_SEEDS {
             for (scheme, p99) in [("pmsb", 100.0), ("tcn", 200.0)] {
@@ -939,7 +897,7 @@ mod tests {
             }
         }
         let mut out = String::new();
-        write_seed_sensitivity_report(&mut out, &records);
+        write_seed_sensitivity_pivot(&mut out, &records.iter().collect::<Vec<_>>());
         assert!(out.contains("42,100.0,200.0,0.500"), "report: {out}");
         assert!(out.contains("98765,100.0,200.0,0.500"));
     }

@@ -13,45 +13,7 @@ use pmsb_netsim::experiment::{Experiment, MarkingConfig};
 use pmsb_workload::PatternSpec;
 
 use crate::outln;
-use crate::util::{banner, SimOpts};
-
-/// One `(scheme, pattern)` cell of the hyperscale table.
-#[derive(Debug, Clone)]
-pub struct HsRow {
-    /// Scheme name.
-    pub scheme: &'static str,
-    /// Pattern name.
-    pub pattern: &'static str,
-    /// Flows pulled from the stream.
-    pub injected: u64,
-    /// Flows that completed before the horizon.
-    pub completed: u64,
-    /// Payload bytes of completed flows.
-    pub bytes_completed: u64,
-    /// Sketch median FCT, µs.
-    pub fct_p50_us: f64,
-    /// Sketch 90th-percentile FCT, µs.
-    pub fct_p90_us: f64,
-    /// Sketch 99th-percentile FCT, µs.
-    pub fct_p99_us: f64,
-    /// Tail drops across the fabric.
-    pub drops: u64,
-    /// CE marks applied.
-    pub marks: u64,
-    /// ECE marks senders saw.
-    pub marks_seen: u64,
-    /// ECE marks PMSB(e) suppressed (0 without a threshold).
-    pub marks_ignored: u64,
-    /// Live-slot high-water mark: the peak number of simultaneously
-    /// allocated flow slots (the resident-memory proxy). With
-    /// `--sim-threads > 1` the per-shard peaks (taken at different
-    /// instants) sum to an upper bound, so this field is the one metric
-    /// that may read higher on sharded runs. It is therefore kept out of
-    /// the harness record and the CSV — campaign records must stay
-    /// byte-identical across thread counts — and reported instead by
-    /// the `pmsb-sim fabric` diagnostics.
-    pub slab_high_water: u64,
-}
+use crate::util::{metric, SimOpts};
 
 /// One scheme of the hyperscale lineup: `(name, marking, PMSB(e) RTT
 /// threshold)`.
@@ -180,16 +142,20 @@ pub(crate) fn cell_experiment(
 /// Runs one `(scheme, pattern)` streaming cell on a `fat_tree(k)`
 /// fabric under `opts` (the flow-level engines ignore
 /// `opts.sim_threads`; they are single-threaded by design). The horizon
-/// is the stream's last arrival plus a 50 ms drain window.
+/// is the stream's last arrival plus a 50 ms drain window. Returns its
+/// record: every column of [`CSV_HEADER`] but the `scheme` and `pattern`
+/// job parameters. The slab high-water mark stays out of it: sharded
+/// runs sum per-shard peaks taken at different instants, so it is the
+/// one metric that may differ across thread counts, and `pmsb-sim
+/// fabric` reports it on stderr instead.
 pub fn run_cell(
     scheme_spec: &SchemeSpec,
-    pattern_spec: &(&'static str, PatternSpec),
+    pattern: &PatternSpec,
     k: usize,
     total_flows: u64,
     seed: u64,
     opts: &SimOpts,
-) -> HsRow {
-    let (pattern_name, pattern) = pattern_spec;
+) -> Record {
     let num_hosts = k * k * k / 4;
     let last_start = pattern
         .flows(num_hosts, seed, total_flows)
@@ -205,110 +171,56 @@ pub fn run_cell(
             .map(|n| n as f64 / 1e3)
             .unwrap_or(f64::NAN)
     };
-    HsRow {
-        scheme: scheme_spec.0,
-        pattern: pattern_name,
-        injected: s.injected,
-        completed: s.completed,
-        bytes_completed: s.bytes_completed,
-        fct_p50_us: q(0.5),
-        fct_p90_us: q(0.9),
-        fct_p99_us: q(0.99),
-        drops: res.drops,
-        marks: res.marks,
-        marks_seen: s.agg_sender.marks_seen,
-        marks_ignored: s.agg_sender.marks_ignored,
-        slab_high_water: s.slab_high_water,
-    }
+    Record::new()
+        .field("injected", s.injected)
+        .field("completed", s.completed)
+        .field("bytes_completed", s.bytes_completed)
+        .field("fct_p50_us", q(0.5))
+        .field("fct_p90_us", q(0.9))
+        .field("fct_p99_us", q(0.99))
+        .field("drops", res.drops)
+        .field("marks", res.marks)
+        .field("marks_seen", s.agg_sender.marks_seen)
+        .field("marks_ignored", s.agg_sender.marks_ignored)
 }
 
-/// The CSV header matching [`csv_line`].
+/// The columns of the hyperscale tables.
 pub const CSV_HEADER: &str = "scheme,pattern,injected,completed,bytes_completed,fct_p50_us,\
                               fct_p90_us,fct_p99_us,drops,marks,marks_seen,marks_ignored";
 
-/// One [`HsRow`] as a CSV line (no newline).
-pub fn csv_line(row: &HsRow) -> String {
-    format!(
-        "{},{},{},{},{},{:.1},{:.1},{:.1},{},{},{},{}",
-        row.scheme,
-        row.pattern,
-        row.injected,
-        row.completed,
-        row.bytes_completed,
-        row.fct_p50_us,
-        row.fct_p90_us,
-        row.fct_p99_us,
-        row.drops,
-        row.marks,
-        row.marks_seen,
-        row.marks_ignored
-    )
+/// The k=8 table's title.
+pub const HYPERSCALE_TITLE: &str = "Hyperscale: fat-tree streaming patterns";
+/// The k=24 table's title.
+pub const K24_TITLE: &str = "Hyperscale k=24: fat_tree(24) streaming cells (hybrid engine)";
+/// The regional k=24 table's title.
+pub const K24_REGIONAL_TITLE: &str =
+    "Hyperscale k=24 regional: fat_tree(24) cells, hot ports at packet level";
+
+/// The `(scheme, pattern)` cell's record, if any.
+fn cell<'a>(records: &[&'a Record], scheme: &str, pattern: &str) -> Option<&'a Record> {
+    records
+        .iter()
+        .copied()
+        .find(|r| r.get_str("scheme") == Some(scheme) && r.get_str("pattern") == Some(pattern))
 }
 
-/// The harness-record payload of one cell — every [`HsRow`] metric.
-pub fn row_record(row: &HsRow) -> Record {
-    Record::new()
-        .field("injected", row.injected)
-        .field("completed", row.completed)
-        .field("bytes_completed", row.bytes_completed)
-        .field("fct_p50_us", row.fct_p50_us)
-        .field("fct_p90_us", row.fct_p90_us)
-        .field("fct_p99_us", row.fct_p99_us)
-        .field("drops", row.drops)
-        .field("marks", row.marks)
-        .field("marks_seen", row.marks_seen)
-        .field("marks_ignored", row.marks_ignored)
+/// The `(scheme, pattern)` cell's p99 FCT, if the cell exists and its
+/// p99 is finite.
+fn p99(records: &[&Record], scheme: &str, pattern: &str) -> Option<f64> {
+    cell(records, scheme, pattern)
+        .map(|r| metric(r, "fct_p99_us"))
+        .filter(|v| v.is_finite())
 }
 
-/// Rebuilds an [`HsRow`] from a harness record written by
-/// [`row_record`] (with `scheme` and `pattern` job parameters).
-pub fn row_from_record(rec: &Record) -> Option<HsRow> {
-    let scheme = ["pmsb", "per-port", "per-queue", "pmsb(e)"]
-        .into_iter()
-        .find(|s| rec.get_str("scheme") == Some(s))?;
-    let pattern = ["incast", "shuffle", "hotservice", "mix-websearch"]
-        .into_iter()
-        .find(|p| rec.get_str("pattern") == Some(p))?;
-    let f = |k: &str| rec.get_f64(k);
-    Some(HsRow {
-        scheme,
-        pattern,
-        injected: f("injected")? as u64,
-        completed: f("completed")? as u64,
-        bytes_completed: f("bytes_completed")? as u64,
-        fct_p50_us: f("fct_p50_us")?,
-        fct_p90_us: f("fct_p90_us")?,
-        fct_p99_us: f("fct_p99_us")?,
-        drops: f("drops")? as u64,
-        marks: f("marks")? as u64,
-        marks_seen: f("marks_seen")? as u64,
-        marks_ignored: f("marks_ignored")? as u64,
-        // Not persisted (thread-count-dependent upper bound, see the
-        // field docs): absent from every record by construction.
-        slab_high_water: 0,
-    })
-}
-
-/// Writes the hyperscale table plus per-pattern p99 comparisons against
-/// the per-queue baseline.
-pub fn write_report(out: &mut String, rows: &[HsRow]) {
-    banner(out, "Hyperscale: fat-tree streaming patterns");
-    outln!(out, "{CSV_HEADER}");
-    for row in rows {
-        outln!(out, "{}", csv_line(row));
-    }
+/// Writes the per-pattern p99 comparisons of the hyperscale table
+/// against the per-queue baseline.
+pub fn write_headlines(out: &mut String, records: &[&Record]) {
     for (pattern, _) in patterns(true) {
-        let cell = |scheme: &str| {
-            rows.iter()
-                .find(|r| r.scheme == scheme && r.pattern == pattern)
-                .map(|r| r.fct_p99_us)
-                .filter(|v| v.is_finite())
-        };
-        let Some(base) = cell("per-queue") else {
+        let Some(base) = p99(records, "per-queue", pattern) else {
             continue;
         };
         for ours in ["pmsb", "pmsb(e)"] {
-            if let Some(o) = cell(ours) {
+            if let Some(o) = p99(records, ours, pattern) {
                 outln!(
                     out,
                     "# {pattern}: {ours} vs per-queue p99 FCT change {:+.1}%",
@@ -319,134 +231,78 @@ pub fn write_report(out: &mut String, rows: &[HsRow]) {
     }
 }
 
-/// Writes the k=24 table plus the per-pattern PMSB-vs-per-port p99
-/// comparison (there is no per-queue column on this grid).
-pub fn write_k24_report(out: &mut String, rows: &[HsRow]) {
-    banner(
-        out,
-        "Hyperscale k=24: fat_tree(24) streaming cells (hybrid engine)",
-    );
-    outln!(out, "{CSV_HEADER}");
-    for row in rows {
-        outln!(out, "{}", csv_line(row));
-    }
+/// Writes the per-pattern PMSB-vs-per-port p99 FCT comparison of the
+/// k=24 table (there is no per-queue column on this grid).
+pub fn write_k24_headlines(out: &mut String, records: &[&Record]) {
     for (pattern, _) in k24_patterns() {
-        let cell = |scheme: &str| {
-            rows.iter()
-                .find(|r| r.scheme == scheme && r.pattern == pattern)
-                .map(|r| r.fct_p99_us)
-                .filter(|v| v.is_finite())
+        write_p99_vs_per_port(out, records, pattern);
+    }
+}
+
+/// Writes the regional k=24 table's per-pattern PMSB-vs-per-port
+/// comparisons of *both* p99 FCT and marks — the point of the regional
+/// cells: at the measured hot ports the two schemes see different
+/// per-queue mark eligibility, so the scheme columns separate where the
+/// hybrid engine's shared closed form keeps them identical.
+pub fn write_k24_regional_headlines(out: &mut String, records: &[&Record]) {
+    for (pattern, _) in k24_patterns() {
+        write_p99_vs_per_port(out, records, pattern);
+        let (Some(ours), Some(base)) = (
+            cell(records, "pmsb", pattern),
+            cell(records, "per-port", pattern),
+        ) else {
+            continue;
         };
-        if let (Some(ours), Some(base)) = (cell("pmsb"), cell("per-port")) {
+        let base_marks = metric(base, "marks");
+        if base_marks > 0.0 {
             outln!(
                 out,
-                "# {pattern}: pmsb vs per-port p99 FCT change {:+.1}%",
-                (ours / base - 1.0) * 100.0
+                "# {pattern}: pmsb vs per-port marks change {:+.1}%",
+                (metric(ours, "marks") / base_marks - 1.0) * 100.0
             );
         }
     }
 }
 
-/// Writes the regional k=24 table plus the per-pattern PMSB-vs-per-port
-/// comparisons of *both* marks and p99 FCT — the point of the regional
-/// cells: at the measured hot ports the two schemes see different
-/// per-queue mark eligibility, so the scheme columns separate where the
-/// hybrid engine's shared closed form keeps them identical.
-pub fn write_k24_regional_report(out: &mut String, rows: &[HsRow]) {
-    banner(
-        out,
-        "Hyperscale k=24 regional: fat_tree(24) cells, hot ports at packet level",
-    );
-    outln!(out, "{CSV_HEADER}");
-    for row in rows {
-        outln!(out, "{}", csv_line(row));
-    }
-    for (pattern, _) in k24_patterns() {
-        let cell = |scheme: &str| {
-            rows.iter()
-                .find(|r| r.scheme == scheme && r.pattern == pattern)
-        };
-        let (Some(ours), Some(base)) = (cell("pmsb"), cell("per-port")) else {
-            continue;
-        };
-        if ours.fct_p99_us.is_finite() && base.fct_p99_us.is_finite() {
-            outln!(
-                out,
-                "# {pattern}: pmsb vs per-port p99 FCT change {:+.1}%",
-                (ours.fct_p99_us / base.fct_p99_us - 1.0) * 100.0
-            );
-        }
-        if base.marks > 0 {
-            outln!(
-                out,
-                "# {pattern}: pmsb vs per-port marks change {:+.1}%",
-                (ours.marks as f64 / base.marks as f64 - 1.0) * 100.0
-            );
-        }
+/// Writes `pattern`'s PMSB-vs-per-port p99 FCT change, when both cells
+/// have a finite p99.
+fn write_p99_vs_per_port(out: &mut String, records: &[&Record], pattern: &str) {
+    if let (Some(ours), Some(base)) = (
+        p99(records, "pmsb", pattern),
+        p99(records, "per-port", pattern),
+    ) {
+        outln!(
+            out,
+            "# {pattern}: pmsb vs per-port p99 FCT change {:+.1}%",
+            (ours / base - 1.0) * 100.0
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::tests::assert_fills_columns;
 
-    #[test]
-    fn row_round_trips_through_a_record() {
-        let row = HsRow {
-            scheme: "pmsb(e)",
-            pattern: "shuffle",
-            injected: 2_000,
-            completed: 1_990,
-            bytes_completed: 199_000_000,
-            fct_p50_us: 120.5,
-            fct_p90_us: 300.0,
-            fct_p99_us: 512.25,
-            drops: 3,
-            marks: 400,
-            marks_seen: 390,
-            marks_ignored: 25,
-            slab_high_water: 64,
-        };
-        let rec = row_record(&row)
-            .field("scheme", row.scheme)
-            .field("pattern", row.pattern);
-        let back = row_from_record(&rec).expect("row must round-trip");
-        assert_eq!(back.scheme, row.scheme);
-        assert_eq!(back.pattern, row.pattern);
-        assert_eq!(back.completed, row.completed);
-        assert_eq!(back.bytes_completed, row.bytes_completed);
-        assert_eq!(back.fct_p99_us, row.fct_p99_us);
-        assert_eq!(back.slab_high_water, 0, "high-water is never persisted");
+    /// A stored cell record with the given p99 FCT and marks.
+    fn cell_record(scheme: &str, pattern: &str, p99: f64, marks: u64) -> Record {
+        Record::new()
+            .field("scenario", "hyperscale")
+            .field("scheme", scheme)
+            .field("pattern", pattern)
+            .field("fct_p99_us", p99)
+            .field("marks", marks)
     }
 
     #[test]
     fn report_compares_against_per_queue() {
-        let mk = |scheme: &'static str, pattern: &'static str, p99: f64| HsRow {
-            scheme,
-            pattern,
-            injected: 10,
-            completed: 10,
-            bytes_completed: 1_000,
-            fct_p50_us: p99 / 2.0,
-            fct_p90_us: p99,
-            fct_p99_us: p99,
-            drops: 0,
-            marks: 0,
-            marks_seen: 0,
-            marks_ignored: 0,
-            slab_high_water: 5,
-        };
-        let rows = vec![
-            mk("per-queue", "incast", 200.0),
-            mk("pmsb", "incast", 100.0),
+        let records = [
+            cell_record("per-queue", "incast", 200.0, 0),
+            cell_record("pmsb", "incast", 100.0, 0),
         ];
         let mut out = String::new();
-        write_report(&mut out, &rows);
-        assert!(out.contains(CSV_HEADER));
-        assert!(
-            out.contains("incast: pmsb vs per-queue p99 FCT change -50.0%"),
-            "report: {out}"
-        );
+        write_headlines(&mut out, &records.iter().collect::<Vec<_>>());
+        assert_eq!(out, "# incast: pmsb vs per-queue p99 FCT change -50.0%\n");
     }
 
     #[test]
@@ -465,48 +321,38 @@ mod tests {
         let patterns: Vec<_> = k24_patterns().iter().map(|(n, _)| *n).collect();
         assert_eq!(patterns, ["shuffle", "mix-websearch"]);
         assert_eq!(K24_FABRIC, 24);
-        // A k=24 record must survive the round trip (the pattern name is
-        // new on this grid).
-        let rec = Record::new()
-            .field("scheme", "per-port")
-            .field("pattern", "mix-websearch")
-            .field("injected", 10u64)
-            .field("completed", 10u64)
-            .field("bytes_completed", 1_000u64)
-            .field("fct_p50_us", 1.0)
-            .field("fct_p90_us", 2.0)
-            .field("fct_p99_us", 3.0)
-            .field("drops", 0u64)
-            .field("marks", 0u64)
-            .field("marks_seen", 0u64)
-            .field("marks_ignored", 0u64);
-        let row = row_from_record(&rec).expect("k24 rows must round-trip");
-        assert_eq!(row.pattern, "mix-websearch");
     }
 
     #[test]
     fn k24_report_compares_pmsb_to_per_port() {
-        let mk = |scheme: &'static str, p99: f64| HsRow {
-            scheme,
-            pattern: "shuffle",
-            injected: 10,
-            completed: 10,
-            bytes_completed: 1_000,
-            fct_p50_us: p99 / 2.0,
-            fct_p90_us: p99,
-            fct_p99_us: p99,
-            drops: 0,
-            marks: 0,
-            marks_seen: 0,
-            marks_ignored: 0,
-            slab_high_water: 5,
-        };
-        let rows = vec![mk("pmsb", 90.0), mk("per-port", 100.0)];
+        let records = [
+            cell_record("pmsb", "shuffle", 90.0, 30),
+            cell_record("per-port", "shuffle", 100.0, 40),
+        ];
+        let records: Vec<&Record> = records.iter().collect();
         let mut out = String::new();
-        write_k24_report(&mut out, &rows);
-        assert!(
-            out.contains("shuffle: pmsb vs per-port p99 FCT change -10.0%"),
-            "report: {out}"
+        write_k24_headlines(&mut out, &records);
+        assert_eq!(out, "# shuffle: pmsb vs per-port p99 FCT change -10.0%\n");
+        out.clear();
+        write_k24_regional_headlines(&mut out, &records);
+        assert_eq!(
+            out,
+            "# shuffle: pmsb vs per-port p99 FCT change -10.0%\n\
+             # shuffle: pmsb vs per-port marks change -25.0%\n"
         );
+    }
+
+    #[test]
+    fn quick_cell_fills_every_column() {
+        let rec = run_cell(
+            &schemes()[0],
+            &PatternSpec::shuffle(),
+            4,
+            100,
+            42,
+            &SimOpts::default(),
+        );
+        assert_fills_columns(&rec, CSV_HEADER);
+        assert_eq!(metric(&rec, "injected"), 100.0);
     }
 }

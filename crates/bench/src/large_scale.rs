@@ -9,57 +9,11 @@
 
 use pmsb::MarkPoint;
 use pmsb_harness::Record;
-use pmsb_netsim::experiment::{Experiment, FlowDesc, MarkingConfig, SchedulerConfig};
-use pmsb_simcore::rng::SimRng;
-use pmsb_workload::traffic::TrafficSpec;
+use pmsb_metrics::fct::SizeClass;
+use pmsb_netsim::experiment::{Experiment, MarkingConfig, SchedulerConfig};
 
 use crate::outln;
-use crate::util::{banner, SimOpts};
-use pmsb_metrics::fct::SizeClass;
-use pmsb_metrics::robustness::{FlowRobustness, RobustnessSummary};
-
-/// One `(scheme, load)` cell of the large-scale tables.
-#[derive(Debug, Clone)]
-pub struct LsRow {
-    /// Scheme name.
-    pub scheme: &'static str,
-    /// Offered load fraction.
-    pub load: f64,
-    /// Completed / injected flows.
-    pub completed: usize,
-    /// Injected flows.
-    pub injected: usize,
-    /// Overall average FCT, µs.
-    pub overall_avg_us: f64,
-    /// Large-flow (>10 MB) average FCT, µs.
-    pub large_avg_us: f64,
-    /// Large-flow 99th-percentile FCT, µs.
-    pub large_p99_us: f64,
-    /// Small-flow (<100 KB) average FCT, µs.
-    pub small_avg_us: f64,
-    /// Small-flow 95th-percentile FCT, µs.
-    pub small_p95_us: f64,
-    /// Small-flow 99th-percentile FCT, µs.
-    pub small_p99_us: f64,
-    /// Tail drops across the fabric.
-    pub drops: u64,
-    /// CE marks applied.
-    pub marks: u64,
-    /// ECE marks senders saw across all flows.
-    pub marks_seen: u64,
-    /// ECE marks PMSB(e) suppressed (0 for schemes without a threshold) —
-    /// the blindness rate is `marks_ignored / marks_seen`.
-    pub marks_ignored: u64,
-    /// Segments retransmitted across all senders.
-    pub retransmissions: u64,
-    /// Retransmission timeouts across all senders.
-    pub timeouts: u64,
-    /// Loss-recovery episodes across all senders.
-    pub loss_episodes: u64,
-    /// Mean per-flow loss-recovery time (lossy flows only), µs; 0 when
-    /// no flow lost anything.
-    pub mean_recovery_us: f64,
-}
+use crate::util::{add_paper_flows, fct_us, metric, robustness, SimOpts};
 
 /// One scheme of the lineup: `(name, marking, PMSB(e) RTT threshold,
 /// mark point)`.
@@ -109,68 +63,53 @@ pub fn schemes(include_mq_ecn: bool) -> Vec<SchemeSpec> {
 }
 
 /// Runs one `(scheduler, scheme, load)` cell under `opts` (any thread
-/// count gives the same records, see DESIGN.md §8).
-#[allow(clippy::too_many_arguments)]
+/// count gives the same records, see DESIGN.md §8) and returns its
+/// record: every column of [`CSV_HEADER`] but the `scheme` and `load`
+/// job parameters.
 pub fn run_cell(
     scheduler: SchedulerConfig,
-    scheme: &'static str,
-    marking: MarkingConfig,
-    pmsbe: Option<u64>,
-    mark_point: MarkPoint,
+    scheme: &SchemeSpec,
     load: f64,
     num_flows: usize,
     seed: u64,
     opts: &SimOpts,
-) -> LsRow {
-    let spec = TrafficSpec::paper_large_scale(48, load);
-    let mut rng = SimRng::seed_from(seed);
-    let flows = spec.generate(num_flows, &mut rng);
+) -> Record {
+    let (_, marking, pmsbe, mark_point) = scheme;
     let mut e = opts.apply(
         Experiment::paper_leaf_spine()
             .scheduler(scheduler)
-            .marking(marking)
-            .mark_point(mark_point),
+            .marking(marking.clone())
+            .mark_point(*mark_point),
     );
-    if let Some(thr) = pmsbe {
+    if let Some(thr) = *pmsbe {
         e = e.pmsbe_rtt_threshold_nanos(thr);
     }
-    for f in &flows {
-        e.add_flow(
-            FlowDesc::bulk(f.src_host, f.dst_host, f.service, f.size_bytes)
-                .starting_at(f.start_nanos),
-        );
-    }
-    let last = flows.last().map(|f| f.start_nanos).unwrap_or(0);
-    let res = e.run_until_nanos(last + 1_000_000_000);
-    let stat = |c: SizeClass, f: fn(&pmsb_metrics::Summary) -> f64| {
-        res.fct.stats(c).map(|s| f(&s) / 1e3).unwrap_or(f64::NAN)
-    };
-    let rob = RobustnessSummary::collect(res.sender_stats.values().map(|s| FlowRobustness {
-        retransmissions: s.retransmissions,
-        timeouts: s.timeouts,
-        loss_episodes: s.loss_episodes,
-        recovery_nanos: s.recovery_nanos,
-    }));
-    LsRow {
-        scheme,
-        load,
-        completed: res.fct.len(),
-        injected: flows.len(),
-        overall_avg_us: stat(SizeClass::Overall, |s| s.mean),
-        large_avg_us: stat(SizeClass::Large, |s| s.mean),
-        large_p99_us: stat(SizeClass::Large, |s| s.p99),
-        small_avg_us: stat(SizeClass::Small, |s| s.mean),
-        small_p95_us: stat(SizeClass::Small, |s| s.p95),
-        small_p99_us: stat(SizeClass::Small, |s| s.p99),
-        drops: res.drops,
-        marks: res.marks,
-        marks_seen: res.sender_stats.values().map(|s| s.marks_seen).sum(),
-        marks_ignored: res.sender_stats.values().map(|s| s.marks_ignored).sum(),
-        retransmissions: rob.retransmissions,
-        timeouts: rob.timeouts,
-        loss_episodes: rob.loss_episodes,
-        mean_recovery_us: rob.mean_recovery_nanos() / 1e3,
-    }
+    let horizon =
+        add_paper_flows(&mut e, load, num_flows, seed).expect("the sweep's loads fit the clock");
+    let res = e.run_until_nanos(horizon);
+    let rob = robustness(&res);
+    let marks_seen: u64 = res.sender_stats.values().map(|s| s.marks_seen).sum();
+    let marks_ignored: u64 = res.sender_stats.values().map(|s| s.marks_ignored).sum();
+    Record::new()
+        .field("completed", res.fct.len())
+        .field("injected", num_flows)
+        .field(
+            "overall_avg_us",
+            fct_us(&res, SizeClass::Overall, |s| s.mean),
+        )
+        .field("large_avg_us", fct_us(&res, SizeClass::Large, |s| s.mean))
+        .field("large_p99_us", fct_us(&res, SizeClass::Large, |s| s.p99))
+        .field("small_avg_us", fct_us(&res, SizeClass::Small, |s| s.mean))
+        .field("small_p95_us", fct_us(&res, SizeClass::Small, |s| s.p95))
+        .field("small_p99_us", fct_us(&res, SizeClass::Small, |s| s.p99))
+        .field("drops", res.drops)
+        .field("marks", res.marks)
+        .field("marks_seen", marks_seen)
+        .field("marks_ignored", marks_ignored)
+        .field("retransmissions", rob.retransmissions)
+        .field("timeouts", rob.timeouts)
+        .field("loss_episodes", rob.loss_episodes)
+        .field("mean_recovery_us", rob.mean_recovery_nanos() / 1e3)
 }
 
 /// The load points and flow count of the paper sweep (or the `--quick`
@@ -183,100 +122,11 @@ pub fn loads_and_flows(quick: bool) -> (&'static [f64], usize) {
     }
 }
 
-/// The CSV header matching [`csv_line`].
+/// The columns of the large-scale tables.
 pub const CSV_HEADER: &str = "scheme,load,completed,injected,overall_avg_us,large_avg_us,\
                               large_p99_us,small_avg_us,small_p95_us,small_p99_us,drops,marks,\
                               marks_seen,marks_ignored,retransmissions,timeouts,loss_episodes,\
                               mean_recovery_us";
-
-/// One [`LsRow`] as a CSV line (no newline).
-pub fn csv_line(row: &LsRow) -> String {
-    format!(
-        "{},{:.1},{},{},{:.1},{:.1},{:.1},{:.1},{:.1},{:.1},{},{},{},{},{},{},{},{:.1}",
-        row.scheme,
-        row.load,
-        row.completed,
-        row.injected,
-        row.overall_avg_us,
-        row.large_avg_us,
-        row.large_p99_us,
-        row.small_avg_us,
-        row.small_p95_us,
-        row.small_p99_us,
-        row.drops,
-        row.marks,
-        row.marks_seen,
-        row.marks_ignored,
-        row.retransmissions,
-        row.timeouts,
-        row.loss_episodes,
-        row.mean_recovery_us
-    )
-}
-
-/// The harness-record payload of one cell — every [`LsRow`] metric.
-pub fn row_record(row: &LsRow) -> Record {
-    Record::new()
-        .field("completed", row.completed)
-        .field("injected", row.injected)
-        .field("overall_avg_us", row.overall_avg_us)
-        .field("large_avg_us", row.large_avg_us)
-        .field("large_p99_us", row.large_p99_us)
-        .field("small_avg_us", row.small_avg_us)
-        .field("small_p95_us", row.small_p95_us)
-        .field("small_p99_us", row.small_p99_us)
-        .field("drops", row.drops)
-        .field("marks", row.marks)
-        .field("marks_seen", row.marks_seen)
-        .field("marks_ignored", row.marks_ignored)
-        .field("retransmissions", row.retransmissions)
-        .field("timeouts", row.timeouts)
-        .field("loss_episodes", row.loss_episodes)
-        .field("mean_recovery_us", row.mean_recovery_us)
-}
-
-/// Rebuilds an [`LsRow`] from a harness record written by
-/// [`row_record`] (with `scheme` and `load` job parameters). Returns
-/// `None` if a field is missing or the scheme name is unknown.
-pub fn row_from_record(rec: &Record) -> Option<LsRow> {
-    let scheme = ["pmsb", "pmsb(e)", "mq-ecn", "tcn"]
-        .into_iter()
-        .find(|s| rec.get_str("scheme") == Some(s))?;
-    let f = |k: &str| rec.get_f64(k);
-    Some(LsRow {
-        scheme,
-        load: rec.get_str("load")?.parse().ok()?,
-        completed: f("completed")? as usize,
-        injected: f("injected")? as usize,
-        overall_avg_us: f("overall_avg_us")?,
-        large_avg_us: f("large_avg_us")?,
-        large_p99_us: f("large_p99_us")?,
-        small_avg_us: f("small_avg_us")?,
-        small_p95_us: f("small_p95_us")?,
-        small_p99_us: f("small_p99_us")?,
-        drops: f("drops")? as u64,
-        marks: f("marks")? as u64,
-        // Absent in records written before these columns existed:
-        // surface as zero rather than dropping the row.
-        marks_seen: f("marks_seen").unwrap_or(0.0) as u64,
-        marks_ignored: f("marks_ignored").unwrap_or(0.0) as u64,
-        retransmissions: f("retransmissions").unwrap_or(0.0) as u64,
-        timeouts: f("timeouts").unwrap_or(0.0) as u64,
-        loss_episodes: f("loss_episodes").unwrap_or(0.0) as u64,
-        mean_recovery_us: f("mean_recovery_us").unwrap_or(0.0),
-    })
-}
-
-/// Writes the sweep table (banner, CSV rows, headline reductions) for a
-/// completed set of cells.
-pub fn write_sweep_report(out: &mut String, title: &str, rows: &[LsRow]) {
-    banner(out, title);
-    outln!(out, "{CSV_HEADER}");
-    for row in rows {
-        outln!(out, "{}", csv_line(row));
-    }
-    write_reductions(out, rows);
-}
 
 /// The DWRR sweep title (Figs. 16–21).
 pub const FIG16_21_TITLE: &str = "Figs 16-21: large-scale leaf-spine, DWRR scheduler";
@@ -284,35 +134,57 @@ pub const FIG16_21_TITLE: &str = "Figs 16-21: large-scale leaf-spine, DWRR sched
 pub const FIG22_27_TITLE: &str =
     "Figs 22-27: large-scale leaf-spine, WFQ scheduler (MQ-ECN excluded)";
 
-/// Writes the paper's headline comparisons: PMSB / PMSB(e) small-flow FCT
-/// reduction relative to each baseline, averaged across loads.
-pub fn write_reductions(out: &mut String, rows: &[LsRow]) {
-    let mean_of = |scheme: &str, f: fn(&LsRow) -> f64| -> Option<f64> {
-        let vals: Vec<f64> = rows
+/// Writes the paper's headline comparisons: PMSB / PMSB(e) FCT change
+/// relative to each baseline, each scheme's metric averaged across the
+/// loads where it is finite.
+pub fn write_headlines(out: &mut String, records: &[&Record]) {
+    let mean_of = |scheme: &str, key: &str| -> Option<f64> {
+        let vals: Vec<f64> = records
             .iter()
-            .filter(|r| r.scheme == scheme && f(r).is_finite())
-            .map(f)
+            .filter(|r| r.get_str("scheme") == Some(scheme))
+            .map(|r| metric(r, key))
+            .filter(|v| v.is_finite())
             .collect();
         (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
     };
     for baseline in ["tcn", "mq-ecn"] {
         for ours in ["pmsb", "pmsb(e)"] {
-            for (metric, get) in [
-                (
-                    "small avg",
-                    (|r: &LsRow| r.small_avg_us) as fn(&LsRow) -> f64,
-                ),
-                ("small p99", |r: &LsRow| r.small_p99_us),
-                ("large avg", |r: &LsRow| r.large_avg_us),
+            for (what, key) in [
+                ("small avg", "small_avg_us"),
+                ("small p99", "small_p99_us"),
+                ("large avg", "large_avg_us"),
             ] {
-                if let (Some(b), Some(o)) = (mean_of(baseline, get), mean_of(ours, get)) {
+                if let (Some(b), Some(o)) = (mean_of(baseline, key), mean_of(ours, key)) {
                     outln!(
                         out,
-                        "# {ours} vs {baseline}: {metric} FCT change {:+.1}%",
+                        "# {ours} vs {baseline}: {what} FCT change {:+.1}%",
                         (o / b - 1.0) * 100.0
                     );
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::util::tests::assert_fills_columns;
+
+    #[test]
+    fn quick_cell_fills_every_column() {
+        let rec = run_cell(
+            SchedulerConfig::Dwrr {
+                weights: vec![1; 8],
+            },
+            &schemes(true)[0],
+            0.5,
+            30,
+            42,
+            &SimOpts::default(),
+        );
+        assert_fills_columns(&rec, CSV_HEADER);
+        assert_eq!(metric(&rec, "injected"), 30.0);
+        assert!(metric(&rec, "completed") > 0.0);
     }
 }

@@ -8,7 +8,6 @@ pub use crate::config::{
     EngineKind, HostConfig, MarkingConfig, RegionSpec, SchedulerConfig, SwitchConfig,
     TransportConfig, TransportKind,
 };
-pub use crate::partition::PartitionStrategy;
 pub use crate::trace::TraceConfig;
 pub use crate::world::{EnginePath, FlowDesc, RunResults, StreamStats};
 pub use pmsb_faults::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};
@@ -141,10 +140,6 @@ pub struct Experiment {
     /// Which switch ports the regional engine promotes to packet level
     /// (DESIGN.md §13); ignored by the other engines.
     pub(crate) region: RegionSpec,
-    /// How switches are assigned to LPs when `sim_threads > 1`. The
-    /// conservative protocol is byte-identical under any partition, so
-    /// this only affects speed, never results.
-    pub(crate) partition: PartitionStrategy,
 }
 
 impl Experiment {
@@ -173,7 +168,6 @@ impl Experiment {
             sim_threads: 1,
             engine: EngineKind::Packet,
             region: RegionSpec::Auto,
-            partition: PartitionStrategy::default(),
         }
     }
 
@@ -207,7 +201,6 @@ impl Experiment {
             sim_threads: 1,
             engine: EngineKind::Packet,
             region: RegionSpec::Auto,
-            partition: PartitionStrategy::default(),
         }
     }
 
@@ -342,15 +335,6 @@ impl Experiment {
         self
     }
 
-    /// Selects how switches are assigned to LPs when `sim_threads > 1`
-    /// (default [`PartitionStrategy::Traffic`]). The conservative
-    /// protocol is byte-identical under any partition, so this is purely
-    /// a performance knob.
-    pub fn partition(mut self, strategy: PartitionStrategy) -> Self {
-        self.partition = strategy;
-        self
-    }
-
     /// Selects the simulation engine (default [`EngineKind::Packet`]).
     /// The fluid, hybrid, and regional engines replace per-packet
     /// simulation with a flow-level max-min rate solve (DESIGN.md §11,
@@ -458,7 +442,8 @@ impl Experiment {
     /// Checks, without running anything, that the fabric can carry
     /// traffic (a dumbbell has a sender, the scheduler has queues with
     /// positive weights, links have a rate, every static flow's
-    /// endpoints exist), that link rate and delay stay within the range
+    /// endpoints exist and its application rate, if any, is above 0),
+    /// that link rate and delay stay within the range
     /// the simulator's integer arithmetic carries, that the configured
     /// engine supports what the
     /// experiment asks of it (fault schedules, shared buffer policies,
@@ -500,15 +485,20 @@ impl Experiment {
             )));
         }
         let hosts = self.num_hosts();
-        if let Some(f) = self
-            .flows
-            .iter()
-            .find(|f| f.src_host.max(f.dst_host) >= hosts)
-        {
-            return Err(ConfigError::new(format!(
-                "flow {}>{} names a host the topology lacks (accepted: hosts 0..{hosts})",
-                f.src_host, f.dst_host
-            )));
+        for f in &self.flows {
+            if f.src_host.max(f.dst_host) >= hosts {
+                return Err(ConfigError::new(format!(
+                    "flow {}>{} names a host the topology lacks (accepted: hosts 0..{hosts})",
+                    f.src_host, f.dst_host
+                )));
+            }
+            if f.app_rate_bps == Some(0) {
+                return Err(ConfigError::new(format!(
+                    "flow {}>{} has an application rate of 0 bps and never sends \
+                     (accepted: a rate of at least 1 bps)",
+                    f.src_host, f.dst_host
+                )));
+            }
         }
         crate::engine::check_capabilities(self)?;
         if let (EngineKind::Regional, RegionSpec::Ports(ports)) = (self.engine, &self.region) {
@@ -609,9 +599,10 @@ impl Experiment {
         world
     }
 
-    /// Builds the world and runs for `millis` simulated milliseconds.
+    /// Builds the world and runs for `millis` simulated milliseconds
+    /// (saturating at the end of the nanosecond clock).
     pub fn run_for_millis(self, millis: u64) -> ExperimentResult {
-        self.run_until_nanos(millis * 1_000_000)
+        self.run_until_nanos(millis.saturating_mul(1_000_000))
     }
 }
 
@@ -765,6 +756,21 @@ mod tests {
         let mut fine = Experiment::dumbbell(2, 2);
         fine.add_flow(FlowDesc::bulk(1, 2, 0, 1_000));
         assert!(fine.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_flow_with_a_zero_application_rate() {
+        let with_rate = |bps| {
+            let mut e = Experiment::dumbbell(2, 2);
+            e.add_flow(FlowDesc::bulk(0, 2, 0, 1_000).with_app_rate_bps(bps));
+            e.validate()
+        };
+        let err = with_rate(0).unwrap_err().to_string();
+        assert!(
+            err.contains("flow 0>2") && err.contains("accepted: a rate of at least 1 bps"),
+            "{err}"
+        );
+        assert!(with_rate(1).is_ok());
     }
 
     #[test]

@@ -60,5 +60,4 @@ pub use config::{
 };
 pub use experiment::{ConfigError, Experiment, ExperimentResult, FlowDesc};
 pub use packet::{Packet, PacketKind};
-pub use partition::PartitionStrategy;
 pub use world::{EnginePath, Event, StreamStats, World};

@@ -2,12 +2,12 @@
 //!
 //! The network is partitioned by switch into logical processes — every LP
 //! owns a set of switches plus the hosts attached to them, chosen by the
-//! experiment's [`PartitionStrategy`](crate::partition::PartitionStrategy)
-//! — and driven by [`pmsb_simcore::run_conservative_matrix`]:
-//! barrier-synchronized windows with *per-LP horizons*. Each LP's horizon
-//! is bounded by its peers' pending times plus the pairwise minimum
-//! propagation delay (closed over multi-hop paths), so distant and idle
-//! LPs stop throttling busy ones. Cross-LP packets travel through
+//! traffic-weighted partitioner in `crate::partition` — and driven by
+//! [`pmsb_simcore::run_conservative_matrix`]: barrier-synchronized
+//! windows with *per-LP horizons*. Each LP's horizon is bounded by its
+//! peers' pending times plus the pairwise minimum propagation delay
+//! (closed over multi-hop paths), so distant and idle LPs stop
+//! throttling busy ones. Cross-LP packets travel through
 //! preallocated per-(src,dst) lanes swapped at each barrier, and the
 //! deterministic `(time, src_lp, emission order)` merge at each
 //! destination makes the event schedule — and therefore every record —
@@ -24,7 +24,7 @@ use pmsb_simcore::{
 };
 
 use crate::experiment::Experiment;
-use crate::partition::{contiguous_partition, traffic_partition, PartitionStrategy};
+use crate::partition::traffic_partition;
 use crate::world::{EnginePath, Event, RunResults, World};
 
 /// One logical process: a full [`World`] copy that simulates only its
@@ -75,10 +75,7 @@ impl LogicalProcess for ShardLp {
 /// sharded attempt meets an ambiguous tie.
 pub(crate) fn run_sharded(exp: &Experiment, k: usize, end_nanos: u64) -> RunResults {
     let first = exp.build_world();
-    let owner = match exp.partition {
-        PartitionStrategy::Contiguous => contiguous_partition(first.num_switches(), k),
-        PartitionStrategy::Traffic => traffic_partition(&first, exp, k),
-    };
+    let owner = traffic_partition(&first, exp, k);
     let direct = first.lp_delay_matrix(&owner, k);
     if direct.contains(&0) {
         return first.run_until_nanos(end_nanos);

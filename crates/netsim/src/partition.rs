@@ -7,39 +7,23 @@
 //! leave workers idling at the barrier, and heavily-cut partitions pay
 //! for every packet crossing an LP boundary.
 //!
-//! Two strategies:
+//! The partitioner grows balanced partitions greedily over the switch
+//! graph, weighted by the workload's expected traffic: the experiment's
+//! flows (static list or a deterministic sample of the streaming
+//! pattern) are walked along their ECMP routes, the two endpoint
+//! switches accumulate node weight and every switch-to-switch hop
+//! accumulates edge weight. Partitions grow to a balanced share of the
+//! total node weight while preferring the unassigned switch most
+//! connected to the partition so far — balancing LP load and keeping
+//! heavy links internal. With no flows attached the weights fall back
+//! to topology degree (node = port count, edge = 1), which still beats
+//! index ranges on fabrics whose tiers interleave in the index space.
 //!
-//! * [`PartitionStrategy::Contiguous`] — `k` contiguous switch-index
-//!   ranges, sizes within one switch of each other. Oblivious to both
-//!   topology and workload; kept as the stable reference point for
-//!   byte-compare gates and as the zero-information fallback.
-//! * [`PartitionStrategy::Traffic`] — greedy balanced growth over the
-//!   switch graph, weighted by the workload's expected traffic: the
-//!   experiment's flows (static list or a deterministic sample of the
-//!   streaming pattern) are walked along their ECMP routes, the two
-//!   endpoint switches accumulate node weight and every switch-to-switch
-//!   hop accumulates edge weight. Partitions grow to a balanced share of
-//!   the total node weight while preferring the unassigned switch most
-//!   connected to the partition so far — balancing LP load and keeping
-//!   heavy links internal. With no flows attached the weights fall back
-//!   to topology degree (node = port count, edge = 1), which still beats
-//!   index ranges on fabrics whose tiers interleave in the index space.
-//!
-//! Both strategies are pure functions of the experiment, so the owner
+//! The partition is a pure function of the experiment, so the owner
 //! array — like everything downstream of it — is deterministic.
 
 use crate::experiment::Experiment;
 use crate::world::{NodeRef, World};
-
-/// How `--sim-threads N` splits the switches across logical processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionStrategy {
-    /// Contiguous switch-index ranges (the byte-compare reference).
-    Contiguous,
-    /// Traffic-weighted greedy balanced growth (the default).
-    #[default]
-    Traffic,
-}
 
 /// Flows sampled from a workload when estimating per-link traffic; keeps
 /// partition planning O(sample · path) even for million-flow streams.
@@ -51,19 +35,6 @@ const MAX_HOPS: usize = 64;
 /// Long-lived flows report `u64::MAX` bytes; weigh them as a large but
 /// finite transfer so one immortal flow cannot erase every other signal.
 const LONG_LIVED_WEIGHT_BYTES: u64 = 100_000_000;
-
-/// Owning LP per switch: `k` contiguous ranges, remainder spread over
-/// the first ranges (sizes differ by at most one).
-pub(crate) fn contiguous_partition(num_switches: usize, k: usize) -> Vec<u32> {
-    let base = num_switches / k;
-    let extra = num_switches % k;
-    let mut owner = Vec::with_capacity(num_switches);
-    for lp in 0..k {
-        let size = base + usize::from(lp < extra);
-        owner.extend(std::iter::repeat_n(lp as u32, size));
-    }
-    owner
-}
 
 /// The switch-graph weights the traffic partitioner balances:
 /// `node[s]` is the bytes sourced or sunk by hosts attached to switch
@@ -252,14 +223,6 @@ mod tests {
     use super::*;
     use crate::experiment::{Experiment, FlowDesc};
     use pmsb_simcore::rng::SimRng;
-
-    #[test]
-    fn contiguous_is_contiguous_and_balanced() {
-        assert_eq!(contiguous_partition(8, 4), vec![0, 0, 1, 1, 2, 2, 3, 3]);
-        assert_eq!(contiguous_partition(5, 2), vec![0, 0, 0, 1, 1]);
-        assert_eq!(contiguous_partition(3, 3), vec![0, 1, 2]);
-        assert_eq!(contiguous_partition(7, 3), vec![0, 0, 0, 1, 1, 2, 2]);
-    }
 
     /// A randomized leaf-spine experiment with `flows` bulk flows drawn
     /// from `rng` (deterministic per seed).

@@ -58,7 +58,7 @@ use types::{FlowSlot, LinkAttach, StreamRuntime};
 pub(crate) struct Shard {
     my_lp: usize,
     /// Owning LP of each switch (any disjoint+complete assignment; see
-    /// `crate::partition` for the strategies that produce it).
+    /// `crate::partition` for the partitioner that produces it).
     switch_owner: Vec<u32>,
     /// Owning LP of each host (= the owner of its attached switch).
     host_owner: Vec<u32>,

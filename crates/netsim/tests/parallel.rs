@@ -1,19 +1,14 @@
 //! Differential tests for the sharded conservative runner (DESIGN.md §8):
 //! `sim_threads(n)` must reproduce the sequential run byte-for-byte —
 //! every record, counter, trace, and fault interaction — for any `n`,
-//! under either partition strategy, across all marking schemes and with
-//! fault schedules attached. Most of these runs meet an ambiguous tie and
+//! across all marking schemes and with fault schedules attached. Most of these runs meet an ambiguous tie and
 //! rerun sequentially, so the suite also pins which path ran: at least
 //! one case must shard end to end, and a fallback must stop early.
 
 use pmsb_netsim::experiment::{
-    EnginePath, Experiment, FaultSchedule, FlowDesc, MarkingConfig, PartitionStrategy, RunResults,
-    TraceConfig,
+    EnginePath, Experiment, FaultSchedule, FlowDesc, MarkingConfig, RunResults, TraceConfig,
 };
 use pmsb_workload::{PatternSpec, SizeDistSpec};
-
-const PARTITIONS: [PartitionStrategy; 2] =
-    [PartitionStrategy::Contiguous, PartitionStrategy::Traffic];
 
 /// Canonical text form of everything a run observes; byte equality here
 /// is the parallel-vs-sequential gate. `engine_path` is left out: it is
@@ -77,36 +72,29 @@ fn small_fabric(marking: MarkingConfig) -> Experiment {
     e
 }
 
-/// Runs `mk` sequentially and at 2 and 4 threads under both partition
-/// strategies, asserts every sharded fingerprint equals the sequential
-/// one, and returns the path each sharded run took.
+/// Runs `mk` sequentially and at 2 and 4 threads, asserts every sharded
+/// fingerprint equals the sequential one, and returns the path each
+/// sharded run took.
 fn assert_threads_match(mk: impl Fn() -> Experiment, millis: u64) -> Vec<EnginePath> {
     let seq = mk().run_for_millis(millis);
     assert_eq!(seq.engine_path, EnginePath::PacketSequential);
     let sequential = fingerprint(&seq);
     let mut paths = Vec::new();
-    for partition in PARTITIONS {
-        for threads in [2, 4] {
-            let res = mk()
-                .sim_threads(threads)
-                .partition(partition)
-                .run_for_millis(millis);
-            paths.push(res.engine_path);
-            let parallel = fingerprint(&res);
-            if sequential != parallel {
-                for (a, b) in sequential.lines().zip(parallel.lines()) {
-                    if a != b {
-                        panic!(
-                            "sim_threads({threads}) with {partition:?} diverged:\nseq: {a}\npar: {b}"
-                        );
-                    }
+    for threads in [2, 4] {
+        let res = mk().sim_threads(threads).run_for_millis(millis);
+        paths.push(res.engine_path);
+        let parallel = fingerprint(&res);
+        if sequential != parallel {
+            for (a, b) in sequential.lines().zip(parallel.lines()) {
+                if a != b {
+                    panic!("sim_threads({threads}) diverged:\nseq: {a}\npar: {b}");
                 }
-                panic!(
-                    "sim_threads({threads}) with {partition:?} diverged: line counts {} vs {}",
-                    sequential.lines().count(),
-                    parallel.lines().count()
-                );
             }
+            panic!(
+                "sim_threads({threads}) diverged: line counts {} vs {}",
+                sequential.lines().count(),
+                parallel.lines().count()
+            );
         }
     }
     paths
@@ -209,26 +197,19 @@ fn uplink_flap_schedule_matches_sequential() {
         "flap must fire inside the horizon"
     );
     let sequential = fingerprint(&sequential);
-    for partition in PARTITIONS {
-        for threads in [2, 4] {
-            let parallel = fingerprint(
-                &mk()
-                    .sim_threads(threads)
-                    .partition(partition)
-                    .run_for_millis(30),
-            );
-            assert_eq!(
-                sequential, parallel,
-                "sim_threads({threads}) with {partition:?} diverged under the fault schedule"
-            );
-        }
+    for threads in [2, 4] {
+        let parallel = fingerprint(&mk().sim_threads(threads).run_for_millis(30));
+        assert_eq!(
+            sequential, parallel,
+            "sim_threads({threads}) diverged under the fault schedule"
+        );
     }
 }
 
 /// The paper's §VI-B fabric (4 leaves × 4 spines, 48 hosts) under a
 /// dense all-to-all-ish load — the shape of the large-scale benchmark
-/// cell, shrunk to test scale. Eight switches give every partition
-/// strategy real choices at 2 and 4 LPs.
+/// cell, shrunk to test scale. Eight switches give the partitioner real
+/// choices at 2 and 4 LPs.
 #[test]
 fn large_scale_fabric_matches_sequential() {
     let mk = || {

@@ -22,16 +22,14 @@ use std::process::ExitCode;
 
 use pmsb::profile::PmsbProfile;
 use pmsb::MarkPoint;
-use pmsb_bench::util::SimOpts;
+use pmsb_bench::util::{add_paper_flows, SimOpts};
 use pmsb_metrics::fct::SizeClass;
 use pmsb_netsim::experiment::{Experiment, ExperimentResult, FaultSchedule, FlowDesc};
 use pmsb_repro::cli::{
-    parse_buffer, parse_engine, parse_flow, parse_marking, parse_partition, parse_pattern,
-    parse_pmsbe_us, parse_scheduler, parse_sim_threads, parse_topology, parse_transport,
-    parse_weights, split_options, ParseError, TopologySpec,
+    parse_buffer, parse_engine, parse_flow, parse_marking, parse_pattern, parse_pmsbe_us,
+    parse_scheduler, parse_sim_threads, parse_topology, parse_transport, parse_weights,
+    split_options, ParseError, TopologySpec,
 };
-use pmsb_simcore::rng::SimRng;
-use pmsb_workload::traffic::TrafficSpec;
 
 const HELP: &str = "\
 pmsb-sim — PMSB datacenter ECN experiments
@@ -43,24 +41,21 @@ USAGE:
                      [--engine ENGINE] [--buffer SPEC]
                      [--rate-gbps N] [--delay-ns N]
                      [--millis N] [--watch true] [--fault-schedule FILE]
-                     [--sim-threads N|auto] [--partition traffic|contiguous]
-                     --flow SPEC [--flow SPEC ...]
+                     [--sim-threads N|auto] --flow SPEC [--flow SPEC ...]
   pmsb-sim leaf-spine [--load X] [--flows N] [--seed N] [--marking SPEC]
                      [--scheduler SPEC] [--mark-point enq|deq] [--pmsbe-us X]
                      [--transport dctcp|newreno] [--engine ENGINE]
                      [--buffer SPEC] [--fault-schedule FILE]
-                     [--sim-threads N|auto] [--partition traffic|contiguous]
+                     [--sim-threads N|auto]
   pmsb-sim fabric    [--topology leaf-spine|fat-tree:K] [--pattern SPEC]
                      [--flows N] [--seed N] [--exact true] [--drain-ms N]
                      [--marking SPEC] [--scheduler SPEC] [--pmsbe-us X]
                      [--transport dctcp|newreno] [--engine ENGINE]
                      [--buffer SPEC] [--sim-threads N|auto]
-                     [--partition traffic|contiguous]
   pmsb-sim profile   --rtt-us X --weights W1,W2,... [--rate-gbps N]
                      [--lambda X] [--margin X]
   pmsb-sim campaign  NAME [--quick] [--jobs N] [--results DIR] [--quiet]
-                     [--sim-threads N|auto] [--partition traffic|contiguous]
-                     [--engine ENGINE] [--buffer SPEC]
+                     [--sim-threads N|auto] [--engine ENGINE] [--buffer SPEC]
                      NAME: all | figures | extensions | large-scale-dwrr
                      | large-scale-wfq | seed-sensitivity | faults
                      | transport | hyperscale | hyperscale-k24
@@ -79,10 +74,7 @@ USAGE:
   sharded-fallback,lps=N,window=W,ambiguous_ties=T, fluid, hybrid or
   regional,hot_ports=N with N the switch ports simulated at packet
   level). For many cells on many cores, campaign --jobs N is the
-  dependable speedup. --partition picks how switches map to threads:
-  'traffic' (default) grows balanced partitions weighted by the
-  workload's expected traffic, 'contiguous' uses plain switch-index
-  ranges. The partition never changes results either.
+  dependable speedup.
 
   --engine picks the simulation engine (ENGINE below): 'packet'
   (default, event per packet), 'fluid' (flow-level max-min rates with
@@ -189,7 +181,7 @@ fn campaign(args: &[String]) -> Result<(), ParseError> {
     let quick = rest.iter().any(|a| a == "--quick");
     rest.retain(|a| a != "--quick");
     let (positional, options) = split_options(&rest)?;
-    let sim_keys = ["sim-threads", "partition", "engine", "buffer"];
+    let sim_keys = ["sim-threads", "engine", "buffer"];
     if let Some((key, _)) = options
         .iter()
         .find(|(k, _)| !sim_keys.contains(&k.as_str()))
@@ -229,15 +221,12 @@ fn campaign(args: &[String]) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// Parses `--sim-threads`, `--partition`, `--engine` and `--buffer`;
-/// an absent option keeps its [`SimOpts::default`] value.
+/// Parses `--sim-threads`, `--engine` and `--buffer`; an absent option
+/// keeps its [`SimOpts::default`] value.
 fn sim_opts(options: &[(String, String)]) -> Result<SimOpts, ParseError> {
     let mut opts = SimOpts::default();
     if let Some(t) = opt(options, "sim-threads") {
         opts.sim_threads = parse_sim_threads(t)?;
-    }
-    if let Some(p) = opt(options, "partition") {
-        opts.partition = parse_partition(p)?;
     }
     if let Some(en) = opt(options, "engine") {
         (opts.engine, opts.region) = parse_engine(en)?;
@@ -362,7 +351,13 @@ fn dumbbell(options: &[(String, String)]) -> Result<(), ParseError> {
         return Err(ParseError("dumbbell needs at least one --flow".into()));
     }
     e.add_flows(flows);
-    let res = run_checked(e, millis * 1_000_000)?;
+    let end_nanos = millis.checked_mul(1_000_000).ok_or_else(|| {
+        ParseError(format!(
+            "--millis {millis} overflows the nanosecond clock (accepted: 0..={})",
+            u64::MAX / 1_000_000
+        ))
+    })?;
+    let res = run_checked(e, end_nanos)?;
     report(&res);
     report_engine_path(&res);
     if watch {
@@ -391,19 +386,14 @@ fn leaf_spine(options: &[(String, String)]) -> Result<(), ParseError> {
     if !(0.0..=1.0).contains(&load) || load == 0.0 {
         return Err(ParseError(format!("--load must be in (0,1], got {load}")));
     }
-    let mut e = Experiment::paper_leaf_spine();
-    e = apply_common(e, options)?;
-    let spec = TrafficSpec::paper_large_scale(48, load);
-    let mut rng = SimRng::seed_from(seed);
-    let generated = spec.generate(flows, &mut rng);
-    let last = generated.last().map(|f| f.start_nanos).unwrap_or(0);
-    for f in &generated {
-        e.add_flow(
-            FlowDesc::bulk(f.src_host, f.dst_host, f.service, f.size_bytes)
-                .starting_at(f.start_nanos),
-        );
-    }
-    let res = run_checked(e, last + 1_000_000_000)?;
+    let mut e = apply_common(Experiment::paper_leaf_spine(), options)?;
+    let horizon = add_paper_flows(&mut e, load, flows, seed).ok_or_else(|| {
+        ParseError(format!(
+            "--load {load:?} spreads {flows} flows past the end of the nanosecond clock \
+             (accepted: a load whose arrivals end within it)"
+        ))
+    })?;
+    let res = run_checked(e, horizon)?;
     report(&res);
     report_engine_path(&res);
     Ok(())
@@ -446,7 +436,17 @@ fn fabric(options: &[(String, String)]) -> Result<(), ParseError> {
     if exact {
         e = e.stream_record_exact();
     }
-    let res = run_checked(e, last + drain_ms * 1_000_000)?;
+    let horizon = drain_ms
+        .checked_mul(1_000_000)
+        .and_then(|drain| last.checked_add(drain))
+        .ok_or_else(|| {
+            ParseError(format!(
+                "--drain-ms {drain_ms} after the last arrival at {last} ns overflows the \
+                 nanosecond clock (accepted: 0..={} ms)",
+                (u64::MAX - last) / 1_000_000
+            ))
+        })?;
+    let res = run_checked(e, horizon)?;
     let s = res.stream.as_ref().expect("fabric runs in streaming mode");
     println!("hosts,{num_hosts}");
     println!("injected,{}", s.injected);

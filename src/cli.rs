@@ -5,7 +5,7 @@
 //! `pmsb-sim help` for the surface syntax.
 
 use pmsb_netsim::experiment::{FlowDesc, MarkingConfig, SchedulerConfig, TransportKind};
-use pmsb_netsim::{BufferPolicy, EngineKind, PartitionStrategy, RegionSpec};
+use pmsb_netsim::{BufferPolicy, EngineKind, RegionSpec};
 use pmsb_workload::{PatternSpec, SizeDistSpec};
 
 /// A parse failure with a human-readable reason.
@@ -424,30 +424,6 @@ pub fn parse_pmsbe_us(s: &str) -> Result<u64, ParseError> {
     }
 }
 
-/// Parses a `--partition` strategy name: `traffic` (workload-weighted
-/// greedy balanced growth, the default) or `contiguous` (plain
-/// switch-index ranges). Results are byte-identical either way; the
-/// strategy only affects parallel run speed.
-///
-/// # Example
-///
-/// ```
-/// use pmsb_repro::cli::parse_partition;
-/// use pmsb_netsim::PartitionStrategy;
-///
-/// assert_eq!(parse_partition("traffic").unwrap(), PartitionStrategy::Traffic);
-/// assert_eq!(parse_partition("contiguous").unwrap(), PartitionStrategy::Contiguous);
-/// ```
-pub fn parse_partition(s: &str) -> Result<PartitionStrategy, ParseError> {
-    match s {
-        "traffic" => Ok(PartitionStrategy::Traffic),
-        "contiguous" => Ok(PartitionStrategy::Contiguous),
-        other => err(format!(
-            "unknown partition strategy '{other}' (traffic|contiguous)"
-        )),
-    }
-}
-
 /// Parses a transport name: `dctcp` (the default) or `newreno` (classic
 /// RFC 3168 ECN: halve once per RTT on ECE, no DCTCP alpha estimator).
 ///
@@ -469,7 +445,8 @@ pub fn parse_transport(s: &str) -> Result<TransportKind, ParseError> {
 
 /// Parses one flow spec `SRC>DST:SERVICE:SIZE[@START_US][/RATE_GBPS]`,
 /// e.g. `0>8:1:64K`, `2>8:0:u/5` (unbounded at 5 Gbps),
-/// `1>4:3:1M@2500` (1 MB starting at t = 2.5 ms).
+/// `1>4:3:1M@2500` (1 MB starting at t = 2.5 ms). A start past the end
+/// of the nanosecond clock and a rate below 1 bps are errors.
 ///
 /// # Example
 ///
@@ -499,20 +476,24 @@ pub fn parse_flow(s: &str) -> Result<FlowDesc, ParseError> {
     // SIZE[@START_US][/RATE_GBPS] — rate first split so '@' binds tighter.
     let (size_start, rate) = match size_part.split_once('/') {
         Some((lhs, r)) => match r.trim().parse::<f64>() {
-            Ok(g) if g > 0.0 => (lhs, Some((g * 1e9) as u64)),
-            _ => return err(format!("flow '{s}': bad rate")),
+            Ok(g) if g * 1e9 >= 1.0 => (lhs, Some((g * 1e9) as u64)),
+            _ => return err(format!("flow '{s}': bad rate (accepted: at least 1 bps)")),
         },
         None => (size_part, None),
     };
-    let (size, start_us) = match size_start.split_once('@') {
-        Some((sz, st)) => match st.trim().parse::<u64>() {
-            Ok(us) => (sz, us),
-            Err(_) => return err(format!("flow '{s}': bad start time")),
+    let (size, start_nanos) = match size_start.split_once('@') {
+        Some((sz, st)) => match st.trim().parse::<u64>().map(|us| us.checked_mul(1_000)) {
+            Ok(Some(ns)) => (sz, ns),
+            _ => {
+                return err(format!(
+                    "flow '{s}': bad start time (accepted: 0..={} us)",
+                    u64::MAX / 1_000
+                ))
+            }
         },
         None => (size_start, 0),
     };
-    let mut f =
-        FlowDesc::bulk(src, dst, service, parse_size_bytes(size)?).starting_at(start_us * 1_000);
+    let mut f = FlowDesc::bulk(src, dst, service, parse_size_bytes(size)?).starting_at(start_nanos);
     if let Some(r) = rate {
         f = f.with_app_rate_bps(r);
     }
@@ -823,24 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn partitions_parse() {
-        assert_eq!(
-            parse_partition("traffic").unwrap(),
-            PartitionStrategy::Traffic
-        );
-        assert_eq!(
-            parse_partition("contiguous").unwrap(),
-            PartitionStrategy::Contiguous
-        );
-        let e = parse_partition("metis").unwrap_err();
-        assert!(e.0.contains("metis"), "names the bad input: {e}");
-        assert!(
-            e.0.contains("traffic|contiguous"),
-            "lists the variants: {e}"
-        );
-    }
-
-    #[test]
     fn flows_parse() {
         let f = parse_flow("2>8:0:u/5").unwrap();
         assert_eq!(f.size_bytes, u64::MAX);
@@ -850,6 +813,15 @@ mod tests {
         assert_eq!(f.size_bytes, 1_000_000);
         assert!(parse_flow("1>1:0:1M").is_err(), "self flow");
         assert!(parse_flow("nope").is_err());
+        let f = parse_flow("0>2:0:1M@18446744073709551").unwrap();
+        assert_eq!(f.start_nanos, 18_446_744_073_709_551_000);
+        let e = parse_flow("0>2:0:1M@18446744073709552").unwrap_err();
+        assert!(e.0.contains("0..=18446744073709551 us"), "{e}");
+        assert_eq!(parse_flow("0>2:0:1M/1e-9").unwrap().app_rate_bps, Some(1));
+        for rate in ["0.0000000001", "0", "-1", "nan"] {
+            let e = parse_flow(&format!("0>2:0:1M/{rate}")).unwrap_err();
+            assert!(e.0.contains("at least 1 bps"), "{rate}: {e}");
+        }
     }
 
     #[test]

@@ -31,11 +31,15 @@ fn help_flags_print_usage_and_succeed() {
     }
 }
 
-/// A configuration the engine cannot run exits non-zero with a single
-/// `error:` line naming the accepted values, never a panic.
+/// A configuration the engine cannot run exits 1 with a single `error:`
+/// line naming the accepted values, never a panic.
 fn assert_clean_config_error(args: &[&str], accepted: &str) {
-    let (ok, _, stderr) = pmsb_sim(args);
-    assert!(!ok, "{args:?} must fail");
+    let out = Command::new(env!("CARGO_BIN_EXE_pmsb-sim"))
+        .args(args)
+        .output()
+        .expect("spawn pmsb-sim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?} must fail: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
     let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
     assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
@@ -111,6 +115,79 @@ fn overflowing_link_delay_exits_cleanly() {
             "0>2:0:100K",
         ],
         "accepted: 0..=1000000000 ns",
+    );
+}
+
+#[test]
+fn flow_start_past_the_clock_exits_cleanly() {
+    // Multiplied unchecked, this start wraps to 384 ns.
+    assert_clean_config_error(
+        &[
+            "dumbbell",
+            "--flow",
+            "0>2:0:100K@18446744073709552",
+            "--millis",
+            "5",
+        ],
+        "accepted: 0..=18446744073709551 us",
+    );
+}
+
+#[test]
+fn flow_rate_below_one_bps_exits_cleanly() {
+    // Rounded down, this rate is 0 bps, a divisor in the packet engine.
+    assert_clean_config_error(
+        &[
+            "dumbbell",
+            "--flow",
+            "0>2:0:100K/0.0000000001",
+            "--millis",
+            "5",
+        ],
+        "accepted: at least 1 bps",
+    );
+}
+
+#[test]
+fn dumbbell_horizon_past_the_clock_exits_cleanly() {
+    // Multiplied unchecked, this horizon wraps to 384 us.
+    assert_clean_config_error(
+        &[
+            "dumbbell",
+            "--flow",
+            "0>2:0:1M",
+            "--millis",
+            "18446744073709552",
+        ],
+        "accepted: 0..=18446744073709",
+    );
+}
+
+#[test]
+fn fabric_drain_past_the_clock_exits_cleanly() {
+    // Added unchecked, this horizon wraps below the last arrival.
+    assert_clean_config_error(
+        &[
+            "fabric",
+            "--topology",
+            "fat-tree:4",
+            "--pattern",
+            "incast",
+            "--flows",
+            "50",
+            "--drain-ms",
+            "18446744073709551",
+        ],
+        "--drain-ms 18446744073709551 after the last arrival",
+    );
+}
+
+#[test]
+fn leaf_spine_load_too_small_for_the_clock_exits_cleanly() {
+    // The arrivals saturate the clock, so the drain after them overflows it.
+    assert_clean_config_error(
+        &["leaf-spine", "--load", "1e-300", "--flows", "3"],
+        "accepted: a load whose arrivals end within it",
     );
 }
 
