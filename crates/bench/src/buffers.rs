@@ -67,7 +67,7 @@ pub fn regimes() -> Vec<(&'static str, u64)> {
 /// The incast flow list: every host except the aggregator (host 0)
 /// ships one response per epoch, all starting at the same instant —
 /// service queues spread by sender so multi-queue marking has work to
-/// do. Deterministic: no RNG, identical on every LP.
+/// do. Deterministic: no RNG.
 fn incast_flows(epochs: u64) -> Vec<FlowDesc> {
     let num_hosts = LEAVES * HOSTS_PER_LEAF;
     let mut flows = Vec::new();

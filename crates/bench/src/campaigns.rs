@@ -714,14 +714,11 @@ fn write_seed_sensitivity_pivot(out: &mut String, records: &[&Record]) {
     outln!(out, "# the reduction is stable across seeds");
 }
 
-/// Assembles and prints everything a finished campaign has to show:
-/// per-experiment reports in job order, then every [`SWEEP_TABLES`]
-/// table that has records.
-pub fn print_campaign_output(result: &CampaignResult) {
-    for report in result.reports() {
-        print!("{report}");
-    }
-    let mut out = String::new();
+/// Everything a finished campaign has to show, as `pmsb-sim campaign`
+/// prints it: per-experiment reports in job order, then every
+/// [`SWEEP_TABLES`] table that has records.
+pub fn campaign_output(result: &CampaignResult) -> String {
+    let mut out: String = result.reports().collect();
     for (scenario, title, columns, headlines) in SWEEP_TABLES {
         let records: Vec<&Record> = result
             .records
@@ -737,7 +734,7 @@ pub fn print_campaign_output(result: &CampaignResult) {
         }
         headlines(&mut out, &records);
     }
-    print!("{out}");
+    out
 }
 
 #[cfg(test)]

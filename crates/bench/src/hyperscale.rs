@@ -140,14 +140,12 @@ pub(crate) fn cell_experiment(
 }
 
 /// Runs one `(scheme, pattern)` streaming cell on a `fat_tree(k)`
-/// fabric under `opts` (the flow-level engines ignore
-/// `opts.sim_threads`; they are single-threaded by design). The horizon
-/// is the stream's last arrival plus a 50 ms drain window. Returns its
-/// record: every column of [`CSV_HEADER`] but the `scheme` and `pattern`
-/// job parameters. The slab high-water mark stays out of it: sharded
-/// runs sum per-shard peaks taken at different instants, so it is the
-/// one metric that may differ across thread counts, and `pmsb-sim
-/// fabric` reports it on stderr instead.
+/// fabric under `opts`. The horizon is the stream's last arrival plus a
+/// 50 ms drain window. Returns its record: every column of
+/// [`CSV_HEADER`] but the `scheme` and `pattern` job parameters. The
+/// slab high-water mark stays out of it: it measures the simulator's
+/// memory, not the network, and `pmsb-sim fabric` reports it on stderr
+/// instead.
 pub fn run_cell(
     scheme_spec: &SchemeSpec,
     pattern: &PatternSpec,

@@ -31,20 +31,15 @@ macro_rules! outln {
 }
 
 /// How a campaign's simulation cells run: the options `pmsb-sim
-/// campaign` parses once (`--sim-threads`, `--engine`, `--buffer`) and
-/// every job closure captures by value. `Default` is one thread, the
-/// packet engine, the auto region and static buffers — the
-/// golden-record configuration.
+/// campaign` parses once (`--engine`, `--buffer`) and every job closure
+/// captures by value. `Default` is the packet engine, the auto region
+/// and static buffers — the golden-record configuration.
 ///
-/// The thread count never enters a job key: records are byte-identical
-/// across thread counts, so result stores are shared between them.
-/// Engine, region and buffer policy *do* change results, so the
-/// campaigns tag non-default values with `engine`, `region` and
-/// `buffer` job parameters and default jobs keep their historical keys.
+/// Engine, region and buffer policy change results, so the campaigns
+/// tag non-default values with `engine`, `region` and `buffer` job
+/// parameters and default jobs keep their historical keys.
 #[derive(Debug, Clone)]
 pub struct SimOpts {
-    /// Worker threads per simulation run (1 = sequential).
-    pub sim_threads: usize,
     /// Simulation engine.
     pub engine: EngineKind,
     /// Hot-region spec; read by the regional engine only.
@@ -56,7 +51,6 @@ pub struct SimOpts {
 impl Default for SimOpts {
     fn default() -> Self {
         SimOpts {
-            sim_threads: 1,
             engine: EngineKind::Packet,
             region: RegionSpec::Auto,
             buffer: BufferPolicy::Static,
@@ -68,7 +62,6 @@ impl SimOpts {
     /// Sets every option on `e`.
     pub fn apply(&self, e: Experiment) -> Experiment {
         e.buffer(self.buffer)
-            .sim_threads(self.sim_threads)
             .engine(self.engine)
             .region(self.region.clone())
     }

@@ -38,7 +38,8 @@ pub fn bdp_segments(link_rate_bps: u64, rtt_nanos: u64, seg_bytes: u32) -> f64 {
     (link_rate_bps as f64 / 8.0) * (rtt_nanos as f64 / 1e9) / seg_bytes as f64
 }
 
-/// The standard ECN threshold `K = C·RTT·λ` (Eq. 1), in bytes.
+/// The standard ECN threshold `K = C·RTT·λ` (Eq. 1), in bytes,
+/// saturating at `u64::MAX`.
 ///
 /// # Example
 ///
@@ -159,7 +160,7 @@ pub fn theorem_iv1_min_threshold_bytes(
 /// The PMSB port threshold obtained by summing per-queue thresholds that
 /// each satisfy Theorem IV.1 with margin `margin ≥ 1` (the paper: "we can
 /// obtain the port's threshold by summing up the thresholds of all queues
-/// belonging to this port"). Returns bytes.
+/// belonging to this port"). Returns bytes, saturating at `u64::MAX`.
 ///
 /// # Panics
 ///
@@ -179,7 +180,7 @@ pub fn pmsb_port_threshold_bytes(
             (theorem_iv1_min_threshold_bytes(*w, weight_sum, link_rate_bps, rtt_nanos) * margin)
                 .ceil() as u64
         })
-        .sum()
+        .fold(0, u64::saturating_add)
 }
 
 #[cfg(test)]

@@ -21,6 +21,9 @@ pub enum BuildProfileError {
     EmptyWeights,
     /// A fabric parameter was zero or non-finite.
     BadFabricParameter(&'static str),
+    /// A derived threshold does not fit in a `u64`: the fabric is too
+    /// fast or its RTT too long for 64-bit bytes and nanoseconds.
+    Overflow(&'static str),
     /// The chosen port threshold makes some queue's filter threshold fall
     /// at or below its Theorem IV.1 bound (throughput would be lost).
     /// Carries the offending queue and the minimum safe port threshold.
@@ -41,6 +44,9 @@ impl std::fmt::Display for BuildProfileError {
             }
             BuildProfileError::BadFabricParameter(p) => {
                 write!(f, "fabric parameter {p} must be positive and finite")
+            }
+            BuildProfileError::Overflow(what) => {
+                write!(f, "{what} does not fit in 64 bits")
             }
             BuildProfileError::ViolatesTheoremIv1 {
                 queue,
@@ -196,8 +202,9 @@ impl PmsbProfileBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildProfileError`] when parameters are missing/invalid
-    /// or the derived thresholds violate Theorem IV.1.
+    /// Returns [`BuildProfileError`] when parameters are missing/invalid,
+    /// a derived threshold does not fit in a `u64`, or the thresholds
+    /// violate Theorem IV.1.
     pub fn build(self) -> Result<PmsbProfile, BuildProfileError> {
         let weight_sum: u64 = self.weights.iter().sum();
         if self.weights.is_empty() || weight_sum == 0 {
@@ -221,6 +228,14 @@ impl PmsbProfileBuilder {
             }
         }
 
+        // `u64::MAX as f64` is 2^64: every value below it converts to a
+        // `u64` without saturating.
+        let rtt_threshold_nanos = (self.rtt_nanos as f64 * self.rtt_headroom).round();
+        if rtt_threshold_nanos >= u64::MAX as f64 {
+            return Err(BuildProfileError::Overflow(
+                "the PMSB(e) RTT threshold rtt_nanos × rtt_headroom",
+            ));
+        }
         let port_threshold_bytes = match self.lambda {
             Some(l) => analysis::standard_threshold_bytes(self.link_rate_bps, self.rtt_nanos, l),
             None => analysis::pmsb_port_threshold_bytes(
@@ -230,6 +245,11 @@ impl PmsbProfileBuilder {
                 self.margin,
             ),
         };
+        // Both recipes saturate at `u64::MAX` when the threshold does not
+        // fit.
+        if port_threshold_bytes == u64::MAX {
+            return Err(BuildProfileError::Overflow("the port threshold"));
+        }
 
         // Validate every queue's filter threshold against its bound, and
         // compute the smallest admissible port threshold for diagnostics.
@@ -245,8 +265,14 @@ impl PmsbProfileBuilder {
             // filter = (w/sum)·port, bound = (w/sum)·CRTT/7: the implied
             // minimum port threshold is the same for every queue, but we
             // check each to report the first offender.
-            let implied = (bound * weight_sum as f64 / *w as f64).ceil() as u64 + 1;
-            min_port = min_port.max(implied);
+            let implied = (bound * weight_sum as f64 / *w as f64).ceil();
+            if implied >= u64::MAX as f64 {
+                // Only a port threshold past 2^64 bytes would clear it.
+                return Err(BuildProfileError::Overflow(
+                    "the smallest port threshold Theorem IV.1 admits",
+                ));
+            }
+            min_port = min_port.max(implied as u64 + 1);
             if filter <= bound {
                 return Err(BuildProfileError::ViolatesTheoremIv1 {
                     queue: q,
@@ -260,7 +286,7 @@ impl PmsbProfileBuilder {
             rtt_nanos: self.rtt_nanos,
             weights: self.weights,
             port_threshold_bytes,
-            rtt_threshold_nanos: (self.rtt_nanos as f64 * self.rtt_headroom).round() as u64,
+            rtt_threshold_nanos: rtt_threshold_nanos as u64,
         })
     }
 }
@@ -323,6 +349,31 @@ mod tests {
         assert_eq!(
             PmsbProfile::builder().rtt_nanos(1000).build().unwrap_err(),
             BuildProfileError::EmptyWeights
+        );
+    }
+
+    #[test]
+    fn thresholds_past_u64_are_errors_not_saturated_values() {
+        let near_max = paper_builder().rtt_nanos(u64::MAX - 1);
+        assert_eq!(
+            near_max.build().unwrap_err(),
+            BuildProfileError::Overflow("the PMSB(e) RTT threshold rtt_nanos × rtt_headroom")
+        );
+        // Half the clock leaves room for the RTT threshold at 1.5×, but
+        // C·RTT·λ at λ = 4 is ~4.6e19 bytes.
+        let half = paper_builder().rtt_nanos(u64::MAX / 2).rtt_headroom(1.5);
+        assert!(half.clone().build().is_ok());
+        let err = half.clone().lambda(4.0).build().unwrap_err();
+        assert_eq!(err, BuildProfileError::Overflow("the port threshold"));
+        assert!(err.to_string().contains("does not fit in 64 bits"), "{err}");
+        // At λ = 1e-10 the port threshold fits, but no 64-bit port
+        // threshold clears the bound.
+        assert_eq!(
+            half.link_rate_bps(u64::MAX)
+                .lambda(1e-10)
+                .build()
+                .unwrap_err(),
+            BuildProfileError::Overflow("the smallest port threshold Theorem IV.1 admits")
         );
     }
 

@@ -29,7 +29,7 @@ pub struct ContentionSummary {
 }
 
 impl ContentionSummary {
-    /// Folds another switch's (or shard's) counters into this one:
+    /// Folds another switch's counters into this one:
     /// drop counts add, high-water marks and capacities take the max.
     pub fn absorb(&mut self, other: &ContentionSummary) {
         self.shared_drops += other.shared_drops;

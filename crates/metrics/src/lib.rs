@@ -10,7 +10,7 @@
 //!   campaigns ([`robustness::RobustnessSummary`]),
 //! * [`contention`] — shared-buffer pool counters for buffer-contention
 //!   campaigns ([`contention::ContentionSummary`]),
-//! * [`QuantileSketch`] — fixed-size mergeable log-bucketed FCT sketch for
+//! * [`QuantileSketch`] — fixed-size log-bucketed FCT sketch for
 //!   million-flow streaming runs (hyperscale campaigns),
 //! * [`ThroughputSeries`] / [`GaugeSeries`] — binned throughput and sampled
 //!   queue-occupancy time series (the paper's throughput/buffer figures).

@@ -1,4 +1,4 @@
-//! A fixed-size, mergeable quantile sketch for flow-completion times.
+//! A fixed-size quantile sketch for flow-completion times.
 //!
 //! Million-flow runs cannot afford the exhaustive per-flow sample storage
 //! of [`FctRecorder`](crate::fct::FctRecorder) (32 bytes per completed
@@ -15,18 +15,16 @@
 //!   of the bucket holding that order statistic, so the reported value is
 //!   within relative error [`QuantileSketch::RELATIVE_ERROR`] of the true
 //!   order statistic (and the *rank* is never approximated),
-//! * **mergeable and order-independent** — merging adds counter arrays,
-//!   so any partition of the input over parallel shards, merged in any
-//!   order, yields a bit-identical sketch. (This is why the sketch is a
-//!   deterministic histogram rather than a KLL/GK rank-error sketch:
-//!   those compress adaptively and their state depends on insertion and
-//!   merge order, which would break the simulator's guarantee that
-//!   `--sim-threads N` produces byte-identical records for every `N`.)
+//! * **order-independent** — inserting adds to fixed counters, so any
+//!   insertion order yields a bit-identical sketch. (This is why the
+//!   sketch is a deterministic histogram rather than a KLL/GK rank-error
+//!   sketch: those compress adaptively and their state depends on
+//!   insertion order.)
 //!
 //! Integer bucketing (`leading_zeros` + shifts, no `f64::ln`) keeps the
 //! sketch bit-reproducible across platforms.
 
-/// Mergeable log-bucketed quantile sketch over `u64` samples (nanoseconds
+/// Log-bucketed quantile sketch over `u64` samples (nanoseconds
 /// in the FCT use, but the sketch is unit-agnostic).
 ///
 /// # Example
@@ -50,8 +48,7 @@ pub struct QuantileSketch {
     min: u64,
     max: u64,
     /// Exact integer sum — `u128` so the mean is order-independent
-    /// (floating-point accumulation would depend on insertion order and
-    /// break cross-shard merge determinism).
+    /// (floating-point accumulation would depend on insertion order).
     sum: u128,
 }
 
@@ -112,18 +109,6 @@ impl QuantileSketch {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         self.sum += v as u128;
-    }
-
-    /// Adds every sample of `other` into `self`. Because buckets are
-    /// fixed, `a.merge(&b)` equals inserting the union in any order.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
     }
 
     /// Number of samples inserted.
@@ -273,25 +258,6 @@ mod tests {
         assert_eq!(sk.count(), 50_000);
         assert_eq!(sk.min().unwrap(), samples[0]);
         assert_eq!(sk.max().unwrap(), *samples.last().unwrap());
-    }
-
-    #[test]
-    fn merge_equals_union_for_any_partition() {
-        let samples: Vec<u64> = (0..10_000u64).map(|i| 1 + i * i % 999_983).collect();
-        let mut whole = QuantileSketch::new();
-        for &v in &samples {
-            whole.insert(v);
-        }
-        // Partition into 4 shards round-robin, merge in reverse order.
-        let mut shards = vec![QuantileSketch::new(); 4];
-        for (i, &v) in samples.iter().enumerate() {
-            shards[i % 4].insert(v);
-        }
-        let mut merged = QuantileSketch::new();
-        for sh in shards.iter().rev() {
-            merged.merge(sh);
-        }
-        assert_eq!(merged, whole, "merge must be partition/order independent");
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //! total is the sum of the per-port budgets, so `static` and the shared
 //! policies compare at equal total memory. All accounting is plain
 //! integer arithmetic on one switch's state — no global maps, no
-//! floating-point accumulation across packets — which keeps sharded runs
-//! (`--sim-threads N`) byte-identical: a pool is LP-local to the one
-//! logical process that owns its switch.
+//! floating-point accumulation across packets — so a pool's decisions
+//! depend only on its own switch's event order.
 
 use pmsb_metrics::contention::ContentionSummary;
 

@@ -1,7 +1,7 @@
 //! Engine dispatch: what each [`EngineKind`] can run, and the one place
 //! a validated experiment is handed to its engine.
 
-use crate::config::EngineKind;
+use crate::config::{EcnResponse, EngineKind, TransportConfig, TransportKind};
 use crate::experiment::{ConfigError, Experiment};
 use crate::fluid::MAX_QUEUES;
 use crate::world::RunResults;
@@ -9,13 +9,37 @@ use crate::world::RunResults;
 /// Checks `e` against its engine's capabilities: fault schedules need
 /// the packet engine, shared buffer policies the packet or regional
 /// engine, and the flow-level engines model at most [`MAX_QUEUES`]
-/// queues per port.
+/// queues per port and only the default transport laws (per-packet
+/// ACKs, and DCTCP's own reaction at gain 1/16).
 pub(crate) fn check_capabilities(e: &Experiment) -> Result<(), ConfigError> {
     let name = e.engine.name();
-    if e.engine != EngineKind::Packet && e.faults.is_some() {
-        return Err(ConfigError::new(format!(
-            "the {name} engine does not support fault schedules (packet only)"
-        )));
+    if e.engine != EngineKind::Packet {
+        if e.faults.is_some() {
+            return Err(ConfigError::new(format!(
+                "the {name} engine does not support fault schedules (packet only)"
+            )));
+        }
+        let unmodelled = |setting: String, accepted: &str| {
+            Err(ConfigError::new(format!(
+                "the {name} engine does not model {setting} (accepted: {accepted} on \
+                 fluid/hybrid/regional, any value on packet)"
+            )))
+        };
+        let t = &e.transport;
+        let dctcp = t.kind == TransportKind::Dctcp;
+        if t.ack_every_packets > 1 {
+            let n = t.ack_every_packets;
+            return unmodelled(format!("transport.ack_every_packets = {n}"), "1");
+        }
+        if dctcp && t.ecn_response == EcnResponse::Classic {
+            let setting = "transport.ecn_response = Classic under DCTCP";
+            return unmodelled(setting.to_string(), "Dctcp");
+        }
+        let default_g = TransportConfig::default().g;
+        if dctcp && t.g != default_g {
+            let setting = format!("DCTCP transport.g = {}", t.g);
+            return unmodelled(setting, &default_g.to_string());
+        }
     }
     // The regional engine's packet region runs the real `SharedPool`
     // admission at its hot ports; ports outside the region stay fluid
@@ -41,9 +65,6 @@ pub(crate) fn check_capabilities(e: &Experiment) -> Result<(), ConfigError> {
 }
 
 /// Validates `e` ([`Experiment::validate`]) and runs it on its engine.
-/// Only the packet engine shards; the flow-level engines are
-/// single-threaded by design and ignore a requested thread count with a
-/// stderr note.
 ///
 /// # Panics
 ///
@@ -55,22 +76,8 @@ pub(crate) fn run(e: Experiment, end_nanos: u64) -> RunResults {
         panic!("{err}");
     }
     match e.engine {
-        EngineKind::Packet => {
-            let threads = e.sim_threads.min(e.topology.num_switches());
-            if threads > 1 {
-                return crate::parallel::run_sharded(&e, threads, end_nanos);
-            }
-            e.build_world().run_until_nanos(end_nanos)
-        }
+        EngineKind::Packet => e.build_world().run_until_nanos(end_nanos),
         EngineKind::Fluid | EngineKind::Hybrid | EngineKind::Regional => {
-            if e.sim_threads > 1 {
-                eprintln!(
-                    "note: --sim-threads {} ignored: the {} engine is single-threaded by design \
-                     (results are byte-identical across thread counts)",
-                    e.sim_threads,
-                    e.engine.name()
-                );
-            }
             crate::fluid::run(&e, end_nanos)
         }
     }

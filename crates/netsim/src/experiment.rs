@@ -132,9 +132,6 @@ pub struct Experiment {
     pub(crate) faults: Option<FaultSchedule>,
     /// Streaming workload; `None` = the static `flows` list.
     pub(crate) stream: Option<StreamSpec>,
-    /// Worker threads for the run itself (conservative parallel DES,
-    /// DESIGN.md §8). 1 = the plain sequential event loop.
-    pub(crate) sim_threads: usize,
     /// Which engine executes the run (DESIGN.md §11).
     pub(crate) engine: EngineKind,
     /// Which switch ports the regional engine promotes to packet level
@@ -165,7 +162,6 @@ impl Experiment {
             host_nic_marking: None,
             faults: None,
             stream: None,
-            sim_threads: 1,
             engine: EngineKind::Packet,
             region: RegionSpec::Auto,
         }
@@ -198,7 +194,6 @@ impl Experiment {
             host_nic_marking: None,
             faults: None,
             stream: None,
-            sim_threads: 1,
             engine: EngineKind::Packet,
             region: RegionSpec::Auto,
         }
@@ -325,13 +320,10 @@ impl Experiment {
         self
     }
 
-    /// Runs the simulation itself on `n` worker threads (conservative
-    /// parallel DES with deterministic lookahead windows, DESIGN.md §8).
-    /// Results are byte-identical for any value; `1` (the default) takes
-    /// the plain sequential event loop. Capped at the switch count — a
-    /// dumbbell always runs sequentially.
-    pub fn sim_threads(mut self, n: usize) -> Self {
-        self.sim_threads = n.max(1);
+    /// Does nothing: every run uses one thread. Kept only for the
+    /// benchmark in `perfbench/`, its one caller.
+    #[deprecated(note = "every run uses one thread")]
+    pub fn sim_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -339,11 +331,7 @@ impl Experiment {
     /// The fluid, hybrid, and regional engines replace per-packet
     /// simulation with a flow-level max-min rate solve (DESIGN.md §11,
     /// §13); they support static and streaming workloads but not fault
-    /// schedules or port traces, and they run single-threaded
-    /// (`sim_threads` is ignored with a stderr note — the solve is
-    /// already orders of magnitude faster than the packet engine, and
-    /// ignoring it keeps results byte-identical across thread counts by
-    /// construction).
+    /// schedules or port traces.
     pub fn engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
         self
@@ -447,7 +435,8 @@ impl Experiment {
     /// the simulator's integer arithmetic carries, that the configured
     /// engine supports what the
     /// experiment asks of it (fault schedules, shared buffer policies,
-    /// at most 16 queues per port on the flow-level engines)
+    /// at most 16 queues per port and the default transport laws on the
+    /// flow-level engines)
     /// and that every explicit region port exists in the topology.
     /// [`Experiment::run_until_nanos`] panics with the same error;
     /// callers that take configuration from users should call this
@@ -539,9 +528,8 @@ impl Experiment {
     }
 
     /// Builds one fully wired, traced, faulted, flow-loaded world from
-    /// this spec. Callable repeatedly: the parallel runner builds one
-    /// world per logical process. Expects `host_cfg.nic_marking` to have
-    /// been resolved by [`Experiment::run_until_nanos`].
+    /// this spec. Expects `host_cfg.nic_marking` to have been resolved by
+    /// [`Experiment::run_until_nanos`].
     pub(crate) fn build_world(&self) -> crate::world::World {
         let mut world = match self.topology {
             Topology::Dumbbell { num_senders } => topology::dumbbell(
@@ -609,6 +597,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EcnResponse;
 
     #[test]
     fn builder_methods_compose() {
@@ -696,6 +685,55 @@ mod tests {
             );
         }
         assert!(queues(20, EngineKind::Packet).is_ok());
+
+        // The flow-level engines model per-packet ACKs and DCTCP's own
+        // reaction at gain 1/16; anything else would silently run plain
+        // DCTCP.
+        let with_transport = |engine, t| {
+            Experiment::fat_tree(4)
+                .transport(t)
+                .engine(engine)
+                .validate()
+        };
+        let base = TransportConfig::default();
+        let unmodelled = [
+            (
+                TransportConfig {
+                    ack_every_packets: 2,
+                    ..base
+                },
+                "transport.ack_every_packets = 2",
+            ),
+            (
+                TransportConfig {
+                    ecn_response: EcnResponse::Classic,
+                    ..base
+                },
+                "transport.ecn_response = Classic",
+            ),
+            (
+                TransportConfig { g: 0.125, ..base },
+                "DCTCP transport.g = 0.125",
+            ),
+        ];
+        for (t, field) in unmodelled {
+            for engine in [EngineKind::Fluid, EngineKind::Hybrid, EngineKind::Regional] {
+                let err = with_transport(engine, t).unwrap_err().to_string();
+                assert!(
+                    err.contains(&format!("the {} engine", engine.name())) && err.contains(field),
+                    "{err}"
+                );
+            }
+            assert!(with_transport(EngineKind::Packet, t).is_ok(), "{field}");
+        }
+        // NewReno reads neither DCTCP's gain nor its ECN response.
+        let newreno = TransportConfig {
+            kind: TransportKind::NewReno,
+            ecn_response: EcnResponse::Classic,
+            g: 0.125,
+            ..base
+        };
+        assert!(with_transport(EngineKind::Fluid, newreno).is_ok());
 
         let regional = |ports| {
             Experiment::fat_tree(4)

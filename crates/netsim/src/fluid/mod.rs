@@ -35,8 +35,8 @@
 //! shuffle waves) collapse thousands of flows into one solve, which is
 //! where the 10–100× throughput over the packet engine comes from. All
 //! arithmetic is integer (work in bit·nanoseconds), the event order is
-//! fixed, and the engine is single-threaded by design, so results are
-//! byte-identical across runs and `--sim-threads` values.
+//! fixed, and the engine is single-threaded, so results are
+//! byte-identical across runs.
 
 mod microsim;
 mod onset;

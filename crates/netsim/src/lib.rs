@@ -44,8 +44,6 @@ mod engine;
 pub mod experiment;
 pub mod fluid;
 pub mod packet;
-mod parallel;
-mod partition;
 pub mod routing;
 mod slab;
 pub mod topology;

@@ -32,10 +32,8 @@ pub enum PacketKind {
     /// Connection teardown notice (streaming mode only). Sent by the
     /// source host once its sender half has completed, so the destination
     /// host can free the receiver half of the flow's slab slot. Fins ride
-    /// the normal data path — same routing, queueing and tie-breaking as
-    /// every other packet — which is what keeps slot reclamation
-    /// byte-identical between sequential and sharded runs. A dropped Fin
-    /// merely leaks one slot, identically in both modes.
+    /// the normal data path — same routing and queueing as every other
+    /// packet. A dropped Fin merely leaks one slot.
     Fin,
 }
 

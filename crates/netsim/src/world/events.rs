@@ -111,18 +111,11 @@ impl World {
             FaultKind::LinkUp => {
                 rt.report.link_up_events += 1;
                 // Restart both ends: packets queued while the link was
-                // down are waiting for a transmit kick. In a sharded run
-                // every LP applies the state flip but only the owner of
-                // an end holds its queued packets — kick owned ends only.
+                // down are waiting for a transmit kick.
                 for end in ends {
                     match end {
-                        LinkEnd::Host(h) if self.owns_host(h) => {
-                            self.try_transmit_host(h, now, queue);
-                        }
-                        LinkEnd::SwitchPort(s, p) if self.owns_switch(s) => {
-                            self.try_transmit_switch(s, p, now, queue);
-                        }
-                        _ => {}
+                        LinkEnd::Host(h) => self.try_transmit_host(h, now, queue),
+                        LinkEnd::SwitchPort(s, p) => self.try_transmit_switch(s, p, now, queue),
                     }
                 }
             }
@@ -248,7 +241,6 @@ impl EventHandler for World {
                 if let Some(interval) = self.trace.sample_interval_nanos {
                     if now + interval <= self.end_nanos {
                         queue.push(SimTime::from_nanos(now + interval), Event::TraceSample);
-                        self.note_trace_push();
                     }
                 }
             }

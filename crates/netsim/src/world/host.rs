@@ -76,10 +76,9 @@ impl World {
     /// Records a completed flow. In streaming mode this also tears down
     /// the sender half and sends a [`PacketKind::Fin`] through the
     /// network so the destination can free the receiver half: the Fin
-    /// rides the normal delivery path (routing, queueing, cross-shard
-    /// tie keys), which keeps slot reclamation byte-identical between
-    /// sequential and sharded runs. Static mode records and returns —
-    /// no Fins, no reclamation, no change to golden records.
+    /// rides the normal delivery path (routing, queueing). Static mode
+    /// records and returns — no Fins, no reclamation, no change to
+    /// golden records.
     fn finish_flow(&mut self, host: usize, flow_id: u64, now: u64, queue: &mut EventQueue<Event>) {
         let SlotRef::Live(slot) = self.slab.slot_ref(flow_id) else {
             unreachable!("completed flow has a slot");
@@ -209,12 +208,12 @@ impl World {
                 if matches!(fate, Fate::Corrupted) {
                     pkt.corrupted = true;
                 }
-                Self::push_deliver(
-                    &mut self.shard,
-                    queue,
-                    now + ser + link.delay_nanos,
-                    link.peer,
-                    pkt,
+                queue.push(
+                    SimTime::from_nanos(now + ser + link.delay_nanos),
+                    Event::Deliver {
+                        node: link.peer,
+                        packet: pkt,
+                    },
                 );
             }
         }

@@ -12,7 +12,7 @@
 //! * ACKs flow back and drive the senders' congestion control.
 //!
 //! The module splits by layer: this file holds the network structure
-//! (wiring, sharding, run lifecycle), `types` the plain data (flow
+//! (wiring, run lifecycle), `types` the plain data (flow
 //! descriptors, the per-flow transport slot, run results), `faults` the
 //! fault-injection runtime, `port` the embeddable marking-view adapter
 //! shared with the flow-level engines, `host` the endpoint/NIC layer,
@@ -30,17 +30,16 @@ mod types;
 pub use events::Event;
 pub use types::{EnginePath, FlowDesc, NodeRef, RunResults, StreamStats};
 
-pub(crate) use types::add_sender_stats;
+use types::add_sender_stats;
 
 use std::collections::HashMap;
 
 use pmsb_metrics::fct::FctRecorder;
 use pmsb_metrics::QuantileSketch;
 use pmsb_sched::{Fifo, MultiQueue};
-use pmsb_simcore::{EventQueue, LpMessage, SimTime, Simulation, TieKey};
+use pmsb_simcore::{EventQueue, SimTime, Simulation};
 
 use crate::config::{HostConfig, SwitchConfig, TransportConfig};
-use crate::packet::Packet;
 use crate::slab::{FlowSlab, SlotRef};
 use crate::trace::{PortTrace, TraceConfig};
 use crate::transport::{Sender as _, SenderStats, TransportSender};
@@ -49,36 +48,6 @@ use faults::{fault_desc, Fate, FaultRuntime, LinkEnd};
 use host::Host;
 use switch::{Switch, SwitchPort};
 use types::{FlowSlot, LinkAttach, StreamRuntime};
-
-/// Sharding state carried only by a world participating in a parallel
-/// run (DESIGN.md §8): which logical process this instance is, which LP
-/// owns each node, and the outbox of cross-LP packets produced during
-/// the current window. Sequential worlds hold `None` and pay one branch
-/// per scheduled delivery.
-pub(crate) struct Shard {
-    my_lp: usize,
-    /// Owning LP of each switch (any disjoint+complete assignment; see
-    /// `crate::partition` for the partitioner that produces it).
-    switch_owner: Vec<u32>,
-    /// Owning LP of each host (= the owner of its attached switch).
-    host_owner: Vec<u32>,
-    /// Whether this LP runs the periodic [`Event::TraceSample`] chain
-    /// (it owns a watched port, or is LP 0 when nothing is watched).
-    runs_trace_chain: bool,
-    /// Whether this LP is the designated counter of the trace chain.
-    /// Several LPs may each run a chain (one per owned watched port
-    /// group); only the lowest-numbered one lets its pushes count, so
-    /// the merged event total matches the sequential run's single chain.
-    canonical_trace_chain: bool,
-    /// FEL pushes a sequential run would not have made on this LP
-    /// (replicated fault events, duplicate trace chains); subtracted
-    /// from `scheduled_count` before results merge.
-    extra_pushes: u64,
-    /// Cross-LP deliveries produced since the last drain, each tagged
-    /// with the sender-side tie key (its position in the sequential
-    /// push order, replayed on insertion at the destination LP).
-    outbox: Vec<LpMessage<(TieKey, Event)>>,
-}
 
 /// The simulated network. Build with the `wire_*` methods (or the
 /// [`crate::topology`] builders), add flows, then [`World::run_until_nanos`].
@@ -103,8 +72,6 @@ pub struct World {
     /// Present only when a fault schedule is attached; boxed so the
     /// common fault-free world stays small.
     faults: Option<Box<FaultRuntime>>,
-    /// Present only on worlds driven as one LP of a parallel run.
-    shard: Option<Box<Shard>>,
 }
 
 impl World {
@@ -123,7 +90,6 @@ impl World {
             end_nanos: 0,
             deliveries: 0,
             faults: None,
-            shard: None,
         }
     }
 
@@ -306,148 +272,6 @@ impl World {
         self.trace = trace;
     }
 
-    // ------------------------------------------------------------------
-    // Sharding (conservative parallel runs, DESIGN.md §8).
-    // ------------------------------------------------------------------
-
-    /// Marks this world as LP `my_lp` of a parallel run partitioned by
-    /// `switch_owner` (owning LP per switch). Call after wiring and
-    /// trace/fault installation, before [`World::prepare`].
-    ///
-    /// Every LP holds a full copy of the network, but only simulates its
-    /// own nodes; traces of non-owned ports are stripped here so the
-    /// merged results carry exactly the owner's copy of each.
-    pub(crate) fn set_shard(&mut self, my_lp: usize, switch_owner: Vec<u32>) {
-        let host_owner = self
-            .hosts
-            .iter()
-            .map(|h| {
-                let link = h.link.expect("set_shard before wiring");
-                let NodeRef::Switch(s) = link.peer else {
-                    unreachable!("hosts attach to switches");
-                };
-                switch_owner[s]
-            })
-            .collect();
-        for (s, sw) in self.switches.iter_mut().enumerate() {
-            if switch_owner[s] as usize != my_lp {
-                for p in &mut sw.ports {
-                    p.trace = None;
-                }
-            }
-        }
-        let watched_owners: Vec<u32> = self
-            .trace
-            .watch_ports
-            .iter()
-            .map(|(s, _)| switch_owner[*s])
-            .collect();
-        let (runs_trace_chain, canonical_trace_chain) = if watched_owners.is_empty() {
-            // Nothing watched: sampling is a no-op, but the sequential
-            // run still schedules the chain — mirror it on LP 0 alone.
-            (my_lp == 0, true)
-        } else {
-            let mine = watched_owners.contains(&(my_lp as u32));
-            let lowest = *watched_owners.iter().min().expect("nonempty") as usize;
-            (mine, my_lp == lowest)
-        };
-        self.shard = Some(Box::new(Shard {
-            my_lp,
-            switch_owner,
-            host_owner,
-            runs_trace_chain,
-            canonical_trace_chain,
-            extra_pushes: 0,
-            outbox: Vec::new(),
-        }));
-    }
-
-    fn owns_host(&self, host: usize) -> bool {
-        self.shard
-            .as_deref()
-            .is_none_or(|sh| sh.host_owner[host] as usize == sh.my_lp)
-    }
-
-    fn owns_switch(&self, switch: usize) -> bool {
-        self.shard
-            .as_deref()
-            .is_none_or(|sh| sh.switch_owner[switch] as usize == sh.my_lp)
-    }
-
-    /// The direct minimum-delay matrix between logical processes: entry
-    /// `(a, b)` (row-major `k × k`) is the smallest propagation delay of
-    /// any switch-to-switch link from a switch owned by LP `a` to one
-    /// owned by LP `b`, or [`LookaheadMatrix::NEVER`] when no such link
-    /// exists. [`pmsb_simcore::LookaheadMatrix::from_direct`] closes it
-    /// over multi-hop paths to produce per-LP horizon bounds.
-    pub(crate) fn lp_delay_matrix(&self, switch_owner: &[u32], k: usize) -> Vec<u64> {
-        use pmsb_simcore::LookaheadMatrix;
-        let mut d = vec![LookaheadMatrix::NEVER; k * k];
-        for (s, sw) in self.switches.iter().enumerate() {
-            for p in &sw.ports {
-                if let NodeRef::Switch(t) = p.link.peer {
-                    let (a, b) = (switch_owner[s] as usize, switch_owner[t] as usize);
-                    if a != b && p.link.delay_nanos < d[a * k + b] {
-                        d[a * k + b] = p.link.delay_nanos;
-                    }
-                }
-            }
-        }
-        d
-    }
-
-    /// Moves the cross-LP deliveries produced this window into `out`.
-    pub(crate) fn drain_outbox(&mut self, out: &mut Vec<LpMessage<(TieKey, Event)>>) {
-        if let Some(sh) = self.shard.as_deref_mut() {
-            out.append(&mut sh.outbox);
-        }
-    }
-
-    /// FEL pushes the sequential run would not have made on this LP.
-    pub(crate) fn shard_extra_pushes(&self) -> u64 {
-        self.shard.as_deref().map_or(0, |sh| sh.extra_pushes)
-    }
-
-    /// Counts a trace-chain push as replicated unless this LP's chain is
-    /// the canonical one.
-    fn note_trace_push(&mut self) {
-        if let Some(sh) = self.shard.as_deref_mut() {
-            if !sh.canonical_trace_chain {
-                sh.extra_pushes += 1;
-            }
-        }
-    }
-
-    /// Schedules a packet arrival, diverting it to the shard outbox when
-    /// the destination node lives on another LP. An associated function
-    /// (not a method) so call sites keep their disjoint field borrows.
-    fn push_deliver(
-        shard: &mut Option<Box<Shard>>,
-        queue: &mut EventQueue<Event>,
-        at_nanos: u64,
-        node: NodeRef,
-        packet: Packet,
-    ) {
-        if let Some(sh) = shard.as_deref_mut() {
-            let owner = match node {
-                NodeRef::Host(h) => sh.host_owner[h],
-                NodeRef::Switch(s) => sh.switch_owner[s],
-            } as usize;
-            if owner != sh.my_lp {
-                sh.outbox.push(LpMessage {
-                    at: SimTime::from_nanos(at_nanos),
-                    dst: owner,
-                    payload: (queue.current_tie_key(), Event::Deliver { node, packet }),
-                });
-                return;
-            }
-        }
-        queue.push(
-            SimTime::from_nanos(at_nanos),
-            Event::Deliver { node, packet },
-        );
-    }
-
     /// Registers a flow; returns its id.
     ///
     /// # Panics
@@ -522,21 +346,9 @@ impl World {
         }
     }
 
-    /// Counts a streaming-arrival push as replicated on every LP but
-    /// LP 0: each LP replays the identical arrival chain (so global flow
-    /// ids agree without coordination), and LP 0 is the canonical
-    /// counter, mirroring the fault-event accounting.
-    fn note_stream_push(&mut self) {
-        if let Some(sh) = self.shard.as_deref_mut() {
-            if sh.my_lp != 0 {
-                sh.extra_pushes += 1;
-            }
-        }
-    }
-
-    /// Handles [`Event::FlowArrival`]: assigns the next global flow id,
-    /// chains the following arrival, and — when this LP owns the source
-    /// host — instantiates the sender in a fresh slab slot.
+    /// Handles [`Event::FlowArrival`]: assigns the next flow id, chains
+    /// the following arrival, and instantiates the sender in a fresh slab
+    /// slot.
     pub(super) fn inject_next_flow(&mut self, now: u64, queue: &mut EventQueue<Event>) {
         let (desc, flow_id, next_at) = {
             let st = self
@@ -559,10 +371,6 @@ impl World {
         };
         if let Some(at) = next_at {
             queue.push(SimTime::from_nanos(at.max(now)), Event::FlowArrival);
-            self.note_stream_push();
-        }
-        if !self.owns_host(desc.src_host) {
-            return;
         }
         let mut sender = TransportSender::new(
             flow_id,
@@ -599,12 +407,8 @@ impl World {
     }
 
     /// Sizes the hot-path storage and seeds the FEL with the initial
-    /// events, returning the simulation ready to drive. On a sharded
-    /// world only owned flows start here and only the designated LPs run
-    /// the trace chain; fault events are seeded everywhere (each LP
-    /// applies the full schedule to keep link state coherent) with the
-    /// replication accounted in [`World::shard_extra_pushes`].
-    pub(crate) fn prepare(mut self, end_nanos: u64) -> Simulation<World> {
+    /// events, returning the simulation ready to drive.
+    fn prepare(mut self, end_nanos: u64) -> Simulation<World> {
         self.end_nanos = end_nanos;
         if self.stream.is_none() {
             // Static mode: flows 0..n slotted in order and never freed,
@@ -615,10 +419,9 @@ impl World {
         }
         // Pre-size the hot-path storage: the FEL for the in-flight event
         // population (a generous per-flow share plus trace/timer headroom)
-        // and every owned port's ring buffers for a congested queue's
-        // worth of packets, so the steady state never grows a buffer. A
-        // shard never touches the nodes it does not own, so it reserves
-        // nothing for them. Streaming runs hold one arrival plus the
+        // and every port's ring buffers for a congested queue's worth of
+        // packets, so the steady state never grows a buffer. Streaming
+        // runs hold one arrival plus the
         // concurrent flows' events — a flat reserve, independent of the
         // total flow count.
         let queue_capacity = if self.stream.is_some() {
@@ -626,17 +429,11 @@ impl World {
         } else {
             256 + 16 * self.flows.len()
         };
-        for h in 0..self.hosts.len() {
-            if self.owns_host(h) {
-                self.hosts[h].nic.reserve(64);
-            }
+        for h in &mut self.hosts {
+            h.nic.reserve(64);
         }
-        for s in 0..self.switches.len() {
-            if self.owns_switch(s) {
-                for p in &mut self.switches[s].ports {
-                    p.mq.reserve(64);
-                }
-            }
+        for p in self.switches.iter_mut().flat_map(|s| &mut s.ports) {
+            p.mq.reserve(64);
         }
         let mut sim = Simulation::new(self);
         sim.queue.reserve(queue_capacity);
@@ -646,51 +443,32 @@ impl World {
                 let at = first.start_nanos;
                 st.next_desc = Some(first);
                 sim.queue.push(SimTime::from_nanos(at), Event::FlowArrival);
-                sim.handler.note_stream_push();
             }
         }
         for id in 0..sim.handler.flows.len() {
             let f = sim.handler.flows[id];
-            if !sim.handler.owns_host(f.src_host) {
-                continue;
-            }
             sim.queue.push(
                 SimTime::from_nanos(f.start_nanos),
                 Event::FlowStart { flow_id: id as u64 },
             );
         }
         if let Some(interval) = sim.handler.trace.sample_interval_nanos {
-            let runs_chain = sim
-                .handler
-                .shard
-                .as_deref()
-                .is_none_or(|sh| sh.runs_trace_chain);
-            if runs_chain {
-                sim.queue
-                    .push(SimTime::from_nanos(interval), Event::TraceSample);
-                sim.handler.note_trace_push();
-            }
+            sim.queue
+                .push(SimTime::from_nanos(interval), Event::TraceSample);
         }
-        let fault_events = sim.handler.faults.as_deref().map_or(0, |rt| {
+        if let Some(rt) = sim.handler.faults.as_deref() {
             // Pre-sorted and pushed in order: the FEL's (time, seq) FIFO
-            // keeps same-time events aligned with the sequential `next`
-            // cursor in [`World::apply_next_fault`].
+            // keeps same-time events aligned with the `next` cursor in
+            // [`World::apply_next_fault`].
             for ev in &rt.events {
                 sim.queue
                     .push(SimTime::from_nanos(ev.at_nanos), Event::Fault);
-            }
-            rt.events.len() as u64
-        });
-        if let Some(sh) = sim.handler.shard.as_deref_mut() {
-            if sh.my_lp != 0 {
-                // LP 0 is the canonical holder of the replicated faults.
-                sh.extra_pushes += fault_events;
             }
         }
         sim
     }
 
-    pub(crate) fn harvest(mut self, end_nanos: u64, events: u64) -> RunResults {
+    fn harvest(mut self, end_nanos: u64, events: u64) -> RunResults {
         let mut rtt = HashMap::new();
         let mut stats = HashMap::new();
         let mut drops = 0u64;
@@ -736,11 +514,7 @@ impl World {
                 }
             }
             if sw.pool.is_shared() {
-                // Pool rejections are real drops. Non-owned switches of a
-                // sharded run contribute zeros (their pools never see
-                // traffic), so every LP folds every switch and the merge
-                // just absorbs — Some-ness depends only on the config,
-                // which all LPs share.
+                // Pool rejections are real drops.
                 drops += sw.pool.shared_drops();
                 shared_buffer
                     .get_or_insert_with(pmsb_metrics::contention::ContentionSummary::default)
@@ -760,7 +534,7 @@ impl World {
             faults: self.faults.map(|rt| rt.report),
             stream,
             shared_buffer,
-            engine_path: EnginePath::PacketSequential,
+            engine_path: EnginePath::Packet,
         }
     }
 }

@@ -108,12 +108,12 @@ impl World {
                 if matches!(fate, Fate::Corrupted) {
                     pkt.corrupted = true;
                 }
-                Self::push_deliver(
-                    &mut self.shard,
-                    queue,
-                    now + ser + link.delay_nanos,
-                    link.peer,
-                    pkt,
+                queue.push(
+                    SimTime::from_nanos(now + ser + link.delay_nanos),
+                    Event::Deliver {
+                        node: link.peer,
+                        packet: pkt,
+                    },
                 );
             }
         }

@@ -3,8 +3,8 @@
 //! the harvested run results.
 //!
 //! Splitting these out of the event-loop module keeps them reusable by
-//! the embeddable packet region ([`crate::fluid`]) and the parallel
-//! driver without pulling in the whole-world machinery.
+//! the embeddable packet region ([`crate::fluid`]) without pulling in
+//! the whole-world machinery.
 
 use std::collections::HashMap;
 
@@ -125,8 +125,7 @@ pub(crate) struct StreamRuntime {
     pub(crate) source: Box<dyn Iterator<Item = FlowDesc> + Send>,
     /// The flow pulled from the source whose arrival event is in flight.
     pub(crate) next_desc: Option<FlowDesc>,
-    /// Next global flow id; every LP of a sharded run replays the same
-    /// arrival chain, so ids agree without coordination.
+    /// Id of the next flow to arrive.
     pub(crate) next_flow_id: u64,
     /// Also record every completed flow in the exhaustive [`FctRecorder`]
     /// (for differential sketch-vs-exact validation on small runs).
@@ -152,8 +151,7 @@ pub struct StreamStats {
     /// Sender counters summed over all flows (completed and live).
     pub agg_sender: SenderStats,
     /// Peak live slab population — the memory high-water mark in flow
-    /// slots. On a sharded run this is the sum of per-LP peaks (an upper
-    /// bound; exact for sequential runs).
+    /// slots.
     pub slab_high_water: u64,
 }
 
@@ -167,29 +165,13 @@ pub(crate) fn add_sender_stats(agg: &mut SenderStats, s: &SenderStats) {
     agg.recovery_nanos += s.recovery_nanos;
 }
 
-/// Which execution path produced a [`RunResults`]. Unlike every other
-/// field, it can differ across `sim_threads` values for the same cell,
-/// so it stays out of campaign records and run fingerprints.
+/// Which execution path produced a [`RunResults`]. It names the
+/// engine, not the results, so it stays out of campaign records and run
+/// fingerprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePath {
-    /// The packet engine's sequential event loop.
-    PacketSequential,
-    /// The packet engine sharded end to end over `lps` logical
-    /// processes (DESIGN.md §8).
-    PacketSharded {
-        /// Logical processes (worker threads) the run used.
-        lps: usize,
-    },
-    /// A sharded packet run that met a same-instant tie its LPs could
-    /// not order, stopped, and was rerun sequentially.
-    ShardedFallback {
-        /// Logical processes the discarded attempt used.
-        lps: usize,
-        /// The conservative window the attempt stopped in.
-        window: u64,
-        /// Ambiguous ties the LPs counted before stopping.
-        ambiguous_ties: u64,
-    },
+    /// The packet engine's event loop.
+    Packet,
     /// The flow-level fluid engine.
     Fluid,
     /// The fluid engine with per-port packet micro-simulations.
@@ -206,21 +188,10 @@ pub enum EnginePath {
 
 impl std::fmt::Display for EnginePath {
     /// Comma-separated, the form `pmsb-sim` prints after `engine_path,`:
-    /// `packet-sequential`, `packet-sharded,lps=N`,
-    /// `sharded-fallback,lps=N,window=W,ambiguous_ties=T`, `fluid`,
-    /// `hybrid` or `regional,hot_ports=N`.
+    /// `packet`, `fluid`, `hybrid` or `regional,hot_ports=N`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EnginePath::PacketSequential => write!(f, "packet-sequential"),
-            EnginePath::PacketSharded { lps } => write!(f, "packet-sharded,lps={lps}"),
-            EnginePath::ShardedFallback {
-                lps,
-                window,
-                ambiguous_ties,
-            } => write!(
-                f,
-                "sharded-fallback,lps={lps},window={window},ambiguous_ties={ambiguous_ties}"
-            ),
+            EnginePath::Packet => write!(f, "packet"),
             EnginePath::Fluid => write!(f, "fluid"),
             EnginePath::Hybrid => write!(f, "hybrid"),
             EnginePath::Regional { hot_ports } => write!(f, "regional,hot_ports={hot_ports}"),

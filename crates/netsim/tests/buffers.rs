@@ -1,8 +1,7 @@
 //! World-level tests for the shared-buffer switch subsystem
 //! (DESIGN.md §12): tiny-buffer contention sanity per marking scheme,
-//! the default-vs-explicit `static` identity, sharded determinism of
-//! the pool accounting, and the fluid-engine rejection of shared
-//! policies.
+//! the default-vs-explicit `static` identity, and the fluid-engine
+//! rejection of shared policies.
 
 use pmsb_netsim::experiment::{EngineKind, Experiment, FlowDesc, MarkingConfig, RunResults};
 use pmsb_netsim::packet::MTU_WIRE_BYTES;
@@ -117,35 +116,6 @@ fn default_and_explicit_static_are_identical() {
         .run_for_millis(500);
     assert!(default_run.shared_buffer.is_none(), "static has no pool");
     assert_eq!(fingerprint(&default_run), fingerprint(&explicit));
-}
-
-/// Pool accounting is LP-local, so sharded runs must reproduce the
-/// sequential run byte-for-byte — counters included — under both
-/// shared policies.
-#[test]
-fn shared_policies_match_sequential_across_threads() {
-    for policy in [
-        BufferPolicy::DynamicThreshold { alpha: 1.0 },
-        BufferPolicy::DelayDriven {
-            target_delay_nanos: 100_000,
-        },
-    ] {
-        let mk = || {
-            incast(MarkingConfig::Pmsb {
-                port_threshold_pkts: 12,
-            })
-            .buffer(policy)
-            .buffer_bytes(8 * MTU_WIRE_BYTES)
-        };
-        let sequential = fingerprint(&mk().run_for_millis(500));
-        for threads in [2, 4] {
-            let parallel = fingerprint(&mk().sim_threads(threads).run_for_millis(500));
-            assert_eq!(
-                sequential, parallel,
-                "{policy:?}: sim_threads({threads}) diverged from sequential"
-            );
-        }
-    }
 }
 
 /// The fluid engine models neither packets nor pools; asking it for a

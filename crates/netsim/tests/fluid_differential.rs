@@ -207,31 +207,3 @@ fn steady_state_queues_match_heavy_traffic_closed_forms() {
     assert_eq!(pp_one, 12 * 1500, "port threshold is the port fixed point");
     assert_eq!(pp_two, pp_one, "invariant in the number of active classes");
 }
-
-/// `--sim-threads` must not change fluid/hybrid results: the engines
-/// are single-threaded by design, so a sharded request falls through to
-/// the same deterministic run (this is what CI's byte-compare rests on).
-#[test]
-fn hybrid_results_are_identical_across_sim_threads() {
-    let run = |threads: usize| {
-        let mut e = Experiment::dumbbell(4, 4)
-            .marking(MarkingConfig::Pmsb {
-                port_threshold_pkts: 12,
-            })
-            .engine(EngineKind::Hybrid)
-            .sim_threads(threads);
-        for i in 0..4 {
-            e.add_flow(FlowDesc::bulk(i, 4, i, 1_000_000));
-        }
-        let res = e.run_for_millis(100);
-        (
-            res.fct
-                .records()
-                .iter()
-                .map(|r| (r.flow_id, r.end_nanos))
-                .collect::<Vec<_>>(),
-            res.marks,
-        )
-    };
-    assert_eq!(run(1), run(4));
-}

@@ -10,24 +10,17 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::event::{TieKey, KEY_DEPTH};
 use crate::SimTime;
 
 pub(crate) struct Scheduled<E> {
     pub(crate) at: SimTime,
-    /// Tie-break key before `seq`: the push instant plus a window of
-    /// ancestor push instants (nondecreasing in `seq` for plain pushes,
-    /// so it never reorders a sequential run; a sharded run supplies a
-    /// sender-side key for cross-LP message insertion, see
-    /// `EventQueue::push_ordered`).
-    pub(crate) key: TieKey,
     pub(crate) seq: u64,
     pub(crate) event: E,
 }
 
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key && self.seq == other.seq
+        self.at == other.at && self.seq == other.seq
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -38,12 +31,11 @@ impl<E> PartialOrd for Scheduled<E> {
 }
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest
-        // (time, key, seq) pops first.
+        // BinaryHeap is a max-heap; invert so the earliest (time, seq)
+        // pops first.
         other
             .at
             .cmp(&self.at)
-            .then_with(|| other.key.cmp(&self.key))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -56,10 +48,6 @@ pub struct HeapQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
-    /// Tie key of the event most recently popped; pushes made while
-    /// handling it derive their keys from it (same discipline as
-    /// `EventQueue`, so the two stay pop-for-pop identical).
-    cur_key: TieKey,
 }
 
 impl<E> HeapQueue<E> {
@@ -69,7 +57,6 @@ impl<E> HeapQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            cur_key: TieKey::default(),
         }
     }
 
@@ -86,22 +73,13 @@ impl<E> HeapQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut key = [0; KEY_DEPTH];
-        key[0] = self.now.as_nanos();
-        key[1..].copy_from_slice(&self.cur_key.0[..KEY_DEPTH - 1]);
-        self.heap.push(Scheduled {
-            at,
-            key: TieKey(key),
-            seq,
-            event,
-        });
+        self.heap.push(Scheduled { at, seq, event });
     }
 
     /// Removes and returns the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let s = self.heap.pop()?;
         self.now = s.at;
-        self.cur_key = s.key;
         Some((s.at, s.event))
     }
 

@@ -10,8 +10,6 @@
 //!   insertion order, so identical seeds give identical runs),
 //! * [`Simulation`] — a minimal driver that pops events and hands them to an
 //!   [`EventHandler`],
-//! * [`lp`] — conservative parallel execution: [`LogicalProcess`] shards
-//!   driven in deterministic lookahead windows by [`run_conservative`],
 //! * [`rng`] — seeded random-number helpers (exponential, empirical CDFs).
 //!
 //! # Example
@@ -35,12 +33,8 @@ pub mod lp;
 pub mod rng;
 pub mod time;
 
-pub use event::{EventQueue, Simulation, TieKey};
+pub use event::{EventQueue, Simulation};
 pub use heap_fel::HeapQueue;
-pub use lp::{
-    last_run_profile, run_conservative, run_conservative_matrix, LogicalProcess, LookaheadMatrix,
-    LpMessage, LpRunProfile,
-};
 pub use time::{SimDuration, SimTime};
 
 /// Types implementing this trait drive a [`Simulation`]: every popped event

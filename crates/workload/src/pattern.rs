@@ -22,8 +22,9 @@
 //! * [`PatternSpec::Mix`] — a start-time-ordered merge of sub-patterns.
 //!
 //! Determinism: the same `(spec, num_hosts, seed, total_flows)` produces
-//! the same flow sequence, so parallel simulator shards can each rebuild
-//! the identical stream and agree on flow-id assignment.
+//! the same flow sequence, so a caller can scan a stream ahead (`pmsb-sim
+//! fabric` finds the last arrival to size its horizon) and rebuild the
+//! identical stream for the run.
 
 use pmsb_simcore::rng::SimRng;
 

@@ -4,8 +4,8 @@ use pmsb_simcore::rng::SimRng;
 
 /// A distribution over flow sizes in bytes.
 ///
-/// `Send` so boxed distributions can ride inside streaming flow sources
-/// handed to worker shards.
+/// `Send` so boxed distributions can ride inside streaming flow
+/// sources, which a world may carry to another thread.
 pub trait FlowSizeDist: std::fmt::Debug + Send {
     /// Draws one flow size.
     fn sample(&self, rng: &mut SimRng) -> u64;

@@ -18,16 +18,18 @@
 //! Sub-grammars (sizes, flows, schemes, schedulers) are documented in
 //! [`pmsb_repro::cli`]; campaigns come from [`pmsb_bench::campaigns`].
 
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
 use pmsb::profile::PmsbProfile;
 use pmsb::MarkPoint;
+use pmsb_bench::outln;
 use pmsb_bench::util::{add_paper_flows, SimOpts};
 use pmsb_metrics::fct::SizeClass;
 use pmsb_netsim::experiment::{Experiment, ExperimentResult, FaultSchedule, FlowDesc};
 use pmsb_repro::cli::{
     parse_buffer, parse_engine, parse_flow, parse_marking, parse_pattern, parse_pmsbe_us,
-    parse_scheduler, parse_sim_threads, parse_topology, parse_transport, parse_weights,
+    parse_rate_gbps, parse_rtt_us, parse_scheduler, parse_topology, parse_transport, parse_weights,
     split_options, ParseError, TopologySpec,
 };
 
@@ -41,21 +43,20 @@ USAGE:
                      [--engine ENGINE] [--buffer SPEC]
                      [--rate-gbps N] [--delay-ns N]
                      [--millis N] [--watch true] [--fault-schedule FILE]
-                     [--sim-threads N|auto] --flow SPEC [--flow SPEC ...]
+                     --flow SPEC [--flow SPEC ...]
   pmsb-sim leaf-spine [--load X] [--flows N] [--seed N] [--marking SPEC]
                      [--scheduler SPEC] [--mark-point enq|deq] [--pmsbe-us X]
                      [--transport dctcp|newreno] [--engine ENGINE]
                      [--buffer SPEC] [--fault-schedule FILE]
-                     [--sim-threads N|auto]
   pmsb-sim fabric    [--topology leaf-spine|fat-tree:K] [--pattern SPEC]
                      [--flows N] [--seed N] [--exact true] [--drain-ms N]
-                     [--marking SPEC] [--scheduler SPEC] [--pmsbe-us X]
-                     [--transport dctcp|newreno] [--engine ENGINE]
-                     [--buffer SPEC] [--sim-threads N|auto]
-  pmsb-sim profile   --rtt-us X --weights W1,W2,... [--rate-gbps N]
+                     [--marking SPEC] [--scheduler SPEC] [--mark-point enq|deq]
+                     [--pmsbe-us X] [--transport dctcp|newreno]
+                     [--engine ENGINE] [--buffer SPEC] [--fault-schedule FILE]
+  pmsb-sim profile   --rtt-us X --weights W1,W2,... [--rate-gbps X]
                      [--lambda X] [--margin X]
   pmsb-sim campaign  NAME [--quick] [--jobs N] [--results DIR] [--quiet]
-                     [--sim-threads N|auto] [--engine ENGINE] [--buffer SPEC]
+                     [--engine ENGINE] [--buffer SPEC]
                      NAME: all | figures | extensions | large-scale-dwrr
                      | large-scale-wfq | seed-sensitivity | faults
                      | transport | hyperscale | hyperscale-k24
@@ -63,18 +64,12 @@ USAGE:
                      | any scenario (e.g. fig08, ablation_port_threshold)
   pmsb-sim help | --help | -h
 
-  --sim-threads shards one simulation across N worker threads ('auto'
-  = every hardware thread, capped at the switch count). The protocol is
-  conservative with per-LP lookahead horizons; results are byte-identical
-  to --sim-threads 1, see DESIGN.md section 8. A sharded attempt that
-  meets a same-instant tie its shards cannot order stops within one
-  window and reruns sequentially; on the fabrics measured so far most
-  runs do. Every run prints the path it took on stderr as one
-  'engine_path,...' line (packet-sequential, packet-sharded,lps=N,
-  sharded-fallback,lps=N,window=W,ambiguous_ties=T, fluid, hybrid or
+  Each command takes only the options its line above names; any other
+  option is an error. One run uses one thread: campaign --jobs N runs
+  cells on N cores. Every run prints the engine that ran on stderr as
+  one 'engine_path,...' line (packet, fluid, hybrid or
   regional,hot_ports=N with N the switch ports simulated at packet
-  level). For many cells on many cores, campaign --jobs N is the
-  dependable speedup.
+  level).
 
   --engine picks the simulation engine (ENGINE below): 'packet'
   (default, event per packet), 'fluid' (flow-level max-min rates with
@@ -85,10 +80,9 @@ USAGE:
   scheduler, marking, shared pool, PMSB(e) filter — and fluid rates
   everywhere else, DESIGN.md section 13; 'auto' scouts the hot set with
   a deterministic first fluid pass). The fluid/hybrid/regional engines
-  do not support fault schedules and ignore --sim-threads (they are
-  single-threaded and deterministic; a one-line note says so). Of the
-  campaigns only 'hyperscale' takes an engine other than packet; the
-  hyperscale-k24 campaigns pin their own.
+  do not support fault schedules. Of the campaigns only 'hyperscale'
+  takes an engine other than packet; the hyperscale-k24 campaigns pin
+  their own.
 
   --buffer picks the switch buffer allocation (DESIGN.md section 12):
   'static' (default, private per-port buffers), 'dt:ALPHA' (per-switch
@@ -119,7 +113,22 @@ SPECS:
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = String::new();
+    let result = run(&args, &mut out);
+    // Stdout goes out in one write, so a reader that stops early
+    // (`| head`) ends the process quietly instead of mid-print.
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        if e.kind() == ErrorKind::BrokenPipe {
+            return ExitCode::SUCCESS;
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        return ExitCode::FAILURE;
+    }
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}\n\n{HELP}");
@@ -149,47 +158,72 @@ fn opt_parse<T: std::str::FromStr>(
     }
 }
 
-fn run(args: &[String]) -> Result<(), ParseError> {
+/// Runs the command `args` names, appending what it prints to `out`.
+fn run(args: &[String], out: &mut String) -> Result<(), ParseError> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{HELP}");
+        outln!(out, "{HELP}");
         return Ok(());
     }
     // `campaign` uses the harness flag grammar (valueless `--quick` /
     // `--quiet`), so it is dispatched before `split_options`.
     if args.first().map(String::as_str) == Some("campaign") {
-        return campaign(&args[1..]);
+        return campaign(&args[1..], out);
     }
     let (positional, options) = split_options(args)?;
     match positional.first().map(String::as_str) {
-        Some("dumbbell") => dumbbell(&options),
-        Some("leaf-spine") => leaf_spine(&options),
-        Some("fabric") => fabric(&options),
-        Some("profile") => profile(&options),
+        Some("dumbbell") => dumbbell(&options, out),
+        Some("leaf-spine") => leaf_spine(&options, out),
+        Some("fabric") => fabric(&options, out),
+        Some("profile") => profile(&options, out),
         Some("help") | None => {
-            println!("{HELP}");
+            outln!(out, "{HELP}");
             Ok(())
         }
         Some(other) => Err(ParseError(format!("unknown command '{other}'"))),
     }
 }
 
+/// The options [`apply_common`] reads; every command that runs an
+/// experiment takes them.
+const COMMON_OPTIONS: [&str; 8] = [
+    "marking",
+    "scheduler",
+    "mark-point",
+    "pmsbe-us",
+    "transport",
+    "fault-schedule",
+    "engine",
+    "buffer",
+];
+
+/// Rejects the first option `command` does not take (`accepted`, the
+/// options its help line names), so a misspelt option is an error
+/// rather than silently ignored.
+fn check_options(
+    command: &str,
+    options: &[(String, String)],
+    accepted: &[&str],
+) -> Result<(), ParseError> {
+    match options
+        .iter()
+        .find(|(k, _)| !accepted.contains(&k.as_str()))
+    {
+        Some((key, _)) => Err(ParseError(format!(
+            "{command}: unexpected argument '--{key}'"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// `pmsb-sim campaign NAME [--quick] [--jobs N] [--results DIR] [--quiet]`:
 /// runs a harness campaign (resumable, parallel) and prints its report.
-fn campaign(args: &[String]) -> Result<(), ParseError> {
+fn campaign(args: &[String], out: &mut String) -> Result<(), ParseError> {
     let (run_opts, mut rest) =
         pmsb_harness::RunOptions::take_flags(args.to_vec()).map_err(ParseError)?;
     let quick = rest.iter().any(|a| a == "--quick");
     rest.retain(|a| a != "--quick");
     let (positional, options) = split_options(&rest)?;
-    let sim_keys = ["sim-threads", "engine", "buffer"];
-    if let Some((key, _)) = options
-        .iter()
-        .find(|(k, _)| !sim_keys.contains(&k.as_str()))
-    {
-        return Err(ParseError(format!(
-            "campaign: unexpected argument '--{key}'"
-        )));
-    }
+    check_options("campaign", &options, &["engine", "buffer"])?;
     let name = match positional.as_slice() {
         [name] => name,
         [] => {
@@ -208,7 +242,7 @@ fn campaign(args: &[String]) -> Result<(), ParseError> {
         .map_err(ParseError)?;
     let total = c.len();
     let result = c.run(&run_opts).map_err(|e| ParseError(e.to_string()))?;
-    pmsb_bench::campaigns::print_campaign_output(&result);
+    out.push_str(&pmsb_bench::campaigns::campaign_output(&result));
     if !result.is_success() {
         for f in &result.failures {
             eprintln!("campaign: job {} failed: {}", f.key, f.error);
@@ -221,13 +255,10 @@ fn campaign(args: &[String]) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// Parses `--sim-threads`, `--engine` and `--buffer`; an absent option
-/// keeps its [`SimOpts::default`] value.
+/// Parses `--engine` and `--buffer`; an absent option keeps its
+/// [`SimOpts::default`] value.
 fn sim_opts(options: &[(String, String)]) -> Result<SimOpts, ParseError> {
     let mut opts = SimOpts::default();
-    if let Some(t) = opt(options, "sim-threads") {
-        opts.sim_threads = parse_sim_threads(t)?;
-    }
     if let Some(en) = opt(options, "engine") {
         (opts.engine, opts.region) = parse_engine(en)?;
     }
@@ -272,34 +303,38 @@ fn run_checked(e: Experiment, end_nanos: u64) -> Result<ExperimentResult, ParseE
     Ok(e.run_until_nanos(end_nanos))
 }
 
-/// Stderr, not stdout: the engine path is the one line that differs
-/// across --sim-threads values, and stdout is byte-compared across them.
+/// Stderr, not stdout: stdout holds only what the simulated network
+/// did, and the engine path says how the simulator ran it.
 fn report_engine_path(res: &ExperimentResult) {
     eprintln!("engine_path,{}", res.engine_path);
 }
 
-fn report(res: &ExperimentResult) {
-    println!("completed_flows,{}", res.fct.len());
-    println!("marks,{}", res.marks);
-    println!("drops,{}", res.drops);
+fn report(res: &ExperimentResult, out: &mut String) {
+    outln!(out, "completed_flows,{}", res.fct.len());
+    outln!(out, "marks,{}", res.marks);
+    outln!(out, "drops,{}", res.drops);
     if let Some(sb) = &res.shared_buffer {
-        println!("shared_drops,{}", sb.shared_drops);
-        println!("admit_rejects,{}", sb.admit_rejects);
-        println!(
+        outln!(out, "shared_drops,{}", sb.shared_drops);
+        outln!(out, "admit_rejects,{}", sb.admit_rejects);
+        outln!(
+            out,
             "pool_high_water,{}/{}",
-            sb.pool_high_water_bytes, sb.pool_total_bytes
+            sb.pool_high_water_bytes,
+            sb.pool_total_bytes
         );
     }
     if let Some(fr) = &res.faults {
-        println!("fault_injected_drops,{}", fr.injected_drops);
-        println!("fault_corrupt_drops,{}", fr.corrupt_drops);
-        println!("fault_unroutable_drops,{}", fr.unroutable_drops);
-        println!(
+        outln!(out, "fault_injected_drops,{}", fr.injected_drops);
+        outln!(out, "fault_corrupt_drops,{}", fr.corrupt_drops);
+        outln!(out, "fault_unroutable_drops,{}", fr.unroutable_drops);
+        outln!(
+            out,
             "fault_link_events,down={},up={}",
-            fr.link_down_events, fr.link_up_events
+            fr.link_down_events,
+            fr.link_up_events
         );
         for (nanos, desc) in &fr.log {
-            println!("fault_log,{:.3}ms,{desc}", *nanos as f64 / 1e6);
+            outln!(out, "fault_log,{:.3}ms,{desc}", *nanos as f64 / 1e6);
         }
     }
     for class in [
@@ -309,7 +344,8 @@ fn report(res: &ExperimentResult) {
         SizeClass::Overall,
     ] {
         if let Some(s) = res.fct.stats(class) {
-            println!(
+            outln!(
+                out,
                 "fct_{class},n={},avg_us={:.1},p95_us={:.1},p99_us={:.1}",
                 s.count,
                 s.mean / 1e3,
@@ -320,7 +356,17 @@ fn report(res: &ExperimentResult) {
     }
 }
 
-fn dumbbell(options: &[(String, String)]) -> Result<(), ParseError> {
+fn dumbbell(options: &[(String, String)], out: &mut String) -> Result<(), ParseError> {
+    let own = [
+        "senders",
+        "queues",
+        "rate-gbps",
+        "delay-ns",
+        "millis",
+        "watch",
+        "flow",
+    ];
+    check_options("dumbbell", options, &[&COMMON_OPTIONS[..], &own].concat())?;
     let senders: usize = opt_parse(options, "senders", 2)?;
     let queues: usize = opt_parse(options, "queues", 2)?;
     let millis: u64 = opt_parse(options, "millis", 50)?;
@@ -358,7 +404,7 @@ fn dumbbell(options: &[(String, String)]) -> Result<(), ParseError> {
         ))
     })?;
     let res = run_checked(e, end_nanos)?;
-    report(&res);
+    report(&res, out);
     report_engine_path(&res);
     if watch {
         let trace = &res.port_traces[&(0, senders)];
@@ -369,9 +415,10 @@ fn dumbbell(options: &[(String, String)]) -> Result<(), ParseError> {
             } else {
                 0.0
             };
-            println!("queue_{q}_gbps,{gbps:.3}");
+            outln!(out, "queue_{q}_gbps,{gbps:.3}");
         }
-        println!(
+        outln!(
+            out,
             "port_occupancy_peak_pkts,{:.1}",
             trace.port_occupancy_pkts.peak().unwrap_or(0.0)
         );
@@ -379,7 +426,9 @@ fn dumbbell(options: &[(String, String)]) -> Result<(), ParseError> {
     Ok(())
 }
 
-fn leaf_spine(options: &[(String, String)]) -> Result<(), ParseError> {
+fn leaf_spine(options: &[(String, String)], out: &mut String) -> Result<(), ParseError> {
+    let own = ["load", "flows", "seed"];
+    check_options("leaf-spine", options, &[&COMMON_OPTIONS[..], &own].concat())?;
     let load: f64 = opt_parse(options, "load", 0.5)?;
     let flows: usize = opt_parse(options, "flows", 400)?;
     let seed: u64 = opt_parse(options, "seed", 42)?;
@@ -394,7 +443,7 @@ fn leaf_spine(options: &[(String, String)]) -> Result<(), ParseError> {
         ))
     })?;
     let res = run_checked(e, horizon)?;
-    report(&res);
+    report(&res, out);
     report_engine_path(&res);
     Ok(())
 }
@@ -404,8 +453,10 @@ fn leaf_spine(options: &[(String, String)]) -> Result<(), ParseError> {
 /// sketch, so memory is bounded by *concurrent* flows — `--flows` can be
 /// millions. `--exact true` additionally records every completed flow
 /// exhaustively and prints one `flow,...` line each; CI byte-compares
-/// that output across `--sim-threads` values.
-fn fabric(options: &[(String, String)]) -> Result<(), ParseError> {
+/// that output across fresh runs.
+fn fabric(options: &[(String, String)], out: &mut String) -> Result<(), ParseError> {
+    let own = ["topology", "pattern", "flows", "seed", "exact", "drain-ms"];
+    check_options("fabric", options, &[&COMMON_OPTIONS[..], &own].concat())?;
     let topo = match opt(options, "topology") {
         Some(t) => parse_topology(t)?,
         None => TopologySpec::FatTree { k: 4 },
@@ -448,59 +499,67 @@ fn fabric(options: &[(String, String)]) -> Result<(), ParseError> {
         })?;
     let res = run_checked(e, horizon)?;
     let s = res.stream.as_ref().expect("fabric runs in streaming mode");
-    println!("hosts,{num_hosts}");
-    println!("injected,{}", s.injected);
-    println!("completed,{}", s.completed);
-    println!("bytes_completed,{}", s.bytes_completed);
+    outln!(out, "hosts,{num_hosts}");
+    outln!(out, "injected,{}", s.injected);
+    outln!(out, "completed,{}", s.completed);
+    outln!(out, "bytes_completed,{}", s.bytes_completed);
     for (name, p) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
         match s.sketch.quantile(p) {
-            Some(n) => println!("fct_{name}_us,{:.1}", n as f64 / 1e3),
-            None => println!("fct_{name}_us,nan"),
+            Some(n) => outln!(out, "fct_{name}_us,{:.1}", n as f64 / 1e3),
+            None => outln!(out, "fct_{name}_us,nan"),
         }
     }
-    println!("marks,{}", res.marks);
-    println!("drops,{}", res.drops);
-    println!("marks_seen,{}", s.agg_sender.marks_seen);
-    println!("marks_ignored,{}", s.agg_sender.marks_ignored);
+    outln!(out, "marks,{}", res.marks);
+    outln!(out, "drops,{}", res.drops);
+    outln!(out, "marks_seen,{}", s.agg_sender.marks_seen);
+    outln!(out, "marks_ignored,{}", s.agg_sender.marks_ignored);
     if let Some(sb) = &res.shared_buffer {
-        println!("shared_drops,{}", sb.shared_drops);
-        println!("admit_rejects,{}", sb.admit_rejects);
-        println!(
+        outln!(out, "shared_drops,{}", sb.shared_drops);
+        outln!(out, "admit_rejects,{}", sb.admit_rejects);
+        outln!(
+            out,
             "pool_high_water,{}/{}",
-            sb.pool_high_water_bytes, sb.pool_total_bytes
+            sb.pool_high_water_bytes,
+            sb.pool_total_bytes
         );
     }
     if exact {
         for r in res.fct.records() {
-            println!(
+            outln!(
+                out,
                 "flow,{},{},{},{}",
-                r.flow_id, r.bytes, r.start_nanos, r.end_nanos
+                r.flow_id,
+                r.bytes,
+                r.start_nanos,
+                r.end_nanos
             );
         }
     }
-    // Stderr, not stdout: on sharded runs this is the sum of per-shard
-    // peaks (an upper bound taken at different instants), the one number
-    // that may differ across --sim-threads values.
+    // Stderr, not stdout: the slab high-water mark measures the
+    // simulator's memory, not the network.
     eprintln!("slab_high_water,{}", s.slab_high_water);
     report_engine_path(&res);
     Ok(())
 }
 
-fn profile(options: &[(String, String)]) -> Result<(), ParseError> {
-    let rate_gbps: f64 = opt_parse(options, "rate-gbps", 10.0)?;
+fn profile(options: &[(String, String)], out: &mut String) -> Result<(), ParseError> {
+    let accepted = ["rtt-us", "weights", "rate-gbps", "lambda", "margin"];
+    check_options("profile", options, &accepted)?;
+    let rate_bps = match opt(options, "rate-gbps") {
+        Some(g) => parse_rate_gbps(g)?,
+        None => 10_000_000_000,
+    };
     let Some(rtt_us) = opt(options, "rtt-us") else {
         return Err(ParseError("profile needs --rtt-us".into()));
     };
-    let rtt_us: f64 = rtt_us
-        .parse()
-        .map_err(|_| ParseError("bad --rtt-us".into()))?;
+    let rtt_nanos = parse_rtt_us(rtt_us)?;
     let Some(weights) = opt(options, "weights") else {
         return Err(ParseError("profile needs --weights".into()));
     };
     let weights = parse_weights(weights)?;
     let mut b = PmsbProfile::builder()
-        .link_rate_bps((rate_gbps * 1e9) as u64)
-        .rtt_nanos((rtt_us * 1e3) as u64)
+        .link_rate_bps(rate_bps)
+        .rtt_nanos(rtt_nanos)
         .weights(weights.clone());
     if let Some(l) = opt(options, "lambda") {
         let v: f64 = l.parse().map_err(|_| ParseError("bad --lambda".into()))?;
@@ -511,18 +570,20 @@ fn profile(options: &[(String, String)]) -> Result<(), ParseError> {
         b = b.bound_margin(v);
     }
     let p = b.build().map_err(|e| ParseError(e.to_string()))?;
-    println!(
+    outln!(
+        out,
         "port_threshold,{} bytes ({:.1} pkts)",
         p.port_threshold_bytes(),
         p.port_threshold_bytes() as f64 / 1500.0
     );
     for q in 0..weights.len() {
-        println!(
+        outln!(
+            out,
             "queue_{q}_filter_threshold,{} bytes (bound margin {:.2}x)",
             p.queue_threshold_bytes(q),
             p.bound_margin(q)
         );
     }
-    println!("pmsbe_rtt_threshold,{} ns", p.rtt_threshold_nanos());
+    outln!(out, "pmsbe_rtt_threshold,{} ns", p.rtt_threshold_nanos());
     Ok(())
 }

@@ -375,32 +375,6 @@ pub fn parse_buffer(s: &str) -> Result<BufferPolicy, ParseError> {
     BufferPolicy::parse(s).map_err(ParseError)
 }
 
-/// Parses a `--sim-threads` value: a positive integer, or `auto` to use
-/// every hardware thread the OS reports (falling back to 1 when the
-/// report is unavailable). The runner separately caps the count at the
-/// topology's switch count.
-///
-/// # Example
-///
-/// ```
-/// use pmsb_repro::cli::parse_sim_threads;
-///
-/// assert_eq!(parse_sim_threads("4").unwrap(), 4);
-/// assert!(parse_sim_threads("auto").unwrap() >= 1);
-/// assert!(parse_sim_threads("0").is_err());
-/// ```
-pub fn parse_sim_threads(s: &str) -> Result<usize, ParseError> {
-    if s.eq_ignore_ascii_case("auto") {
-        return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
-    }
-    match s.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => err(format!(
-            "bad sim-threads '{s}' (a positive integer, or auto)"
-        )),
-    }
-}
-
 /// Parses a `--pmsbe-us` RTT threshold in microseconds into whole
 /// nanoseconds. NaN, infinite, negative and values past `u64::MAX`
 /// nanoseconds are errors, not saturated thresholds.
@@ -422,6 +396,56 @@ pub fn parse_pmsbe_us(s: &str) -> Result<u64, ParseError> {
             "bad --pmsbe-us '{s}' (accepted: microseconds from 0 up to 1.8e16)"
         )),
     }
+}
+
+/// `s` as a decimal number times `scale`, truncated to a whole count:
+/// `None` unless that count is at least 1 and fits in a `u64` (so NaN
+/// and infinities are `None` too).
+fn parse_scaled_count(s: &str, scale: f64) -> Option<u64> {
+    let x = s.parse::<f64>().ok()? * scale;
+    // `u64::MAX as f64` is 2^64, so every value below it converts
+    // without saturating.
+    (1.0..u64::MAX as f64).contains(&x).then_some(x as u64)
+}
+
+/// Parses `pmsb-sim profile --rtt-us`: a base RTT in microseconds into
+/// whole nanoseconds, at least 1 and at most `u64::MAX`.
+///
+/// # Example
+///
+/// ```
+/// use pmsb_repro::cli::parse_rtt_us;
+///
+/// assert_eq!(parse_rtt_us("85.2").unwrap(), 85_200);
+/// assert!(parse_rtt_us("1e30").is_err());
+/// assert!(parse_rtt_us("0.0001").is_err());
+/// ```
+pub fn parse_rtt_us(s: &str) -> Result<u64, ParseError> {
+    parse_scaled_count(s, 1e3).ok_or_else(|| {
+        ParseError(format!(
+            "bad --rtt-us '{s}' (accepted: microseconds from 0.001 up to 1.8e16)"
+        ))
+    })
+}
+
+/// Parses `pmsb-sim profile --rate-gbps`: a link rate in Gbps
+/// (fractions allowed) into whole bits per second, at least 1 and at
+/// most `u64::MAX`.
+///
+/// # Example
+///
+/// ```
+/// use pmsb_repro::cli::parse_rate_gbps;
+///
+/// assert_eq!(parse_rate_gbps("2.5").unwrap(), 2_500_000_000);
+/// assert!(parse_rate_gbps("1e30").is_err());
+/// ```
+pub fn parse_rate_gbps(s: &str) -> Result<u64, ParseError> {
+    parse_scaled_count(s, 1e9).ok_or_else(|| {
+        ParseError(format!(
+            "bad --rate-gbps '{s}' (accepted: Gbps from 1e-9 up to 1.8e10)"
+        ))
+    })
 }
 
 /// Parses a transport name: `dctcp` (the default) or `newreno` (classic
@@ -789,18 +813,24 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_parse() {
-        assert_eq!(parse_sim_threads("1").unwrap(), 1);
-        assert_eq!(parse_sim_threads("16").unwrap(), 16);
-        assert!(parse_sim_threads("auto").unwrap() >= 1);
-        assert!(parse_sim_threads("AUTO").unwrap() >= 1);
-        let e = parse_sim_threads("0").unwrap_err();
-        assert!(
-            e.0.contains("positive integer, or auto"),
-            "lists accepted: {e}"
-        );
-        assert!(parse_sim_threads("-2").is_err());
-        assert!(parse_sim_threads("many").is_err());
+    fn profile_rtt_and_rate_parse_to_whole_units() {
+        assert_eq!(parse_rtt_us("85.2").unwrap(), 85_200);
+        assert_eq!(parse_rtt_us("0.001").unwrap(), 1);
+        assert_eq!(parse_rate_gbps("10").unwrap(), 10_000_000_000);
+        assert_eq!(parse_rate_gbps("1e-9").unwrap(), 1);
+        for bad in ["nan", "inf", "-1", "0", "1e30", "x"] {
+            assert!(
+                parse_rtt_us(bad).unwrap_err().0.contains("--rtt-us"),
+                "{bad}"
+            );
+            assert!(
+                parse_rate_gbps(bad).unwrap_err().0.contains("--rate-gbps"),
+                "{bad}"
+            );
+        }
+        assert!(parse_rtt_us("0.0001").is_err(), "rounds to 0 ns");
+        assert!(parse_rtt_us("1.8e16").is_ok() && parse_rtt_us("1.9e16").is_err());
+        assert!(parse_rate_gbps("1.8e10").is_ok() && parse_rate_gbps("1.9e10").is_err());
     }
 
     #[test]

@@ -1,7 +1,5 @@
-//! Engine dispatch smoke tests: which path a run reports, that a run at
-//! 2 simulation threads reproduces the 1-thread run whether it sharded
-//! end to end or fell back, and that a regional run with no hot port is
-//! the fluid engine byte for byte. The workspace's differential suites
+//! Engine dispatch smoke tests: which path a run reports, and that a
+//! regional run with no hot port is the fluid engine byte for byte. The workspace's differential suites
 //! cover this in depth; these cells are small enough for a debug build.
 
 use pmsb_netsim::experiment::{
@@ -14,14 +12,13 @@ const HORIZON_NANOS: u64 = 60_000_000;
 const FLOWS: u64 = 200;
 
 /// A fat_tree(4) streaming incast cell with exact per-flow records.
-fn cell(threads: usize) -> Experiment {
+fn cell() -> Experiment {
     Experiment::fat_tree(4)
         .marking(MarkingConfig::Pmsb {
             port_threshold_pkts: 12,
         })
         .stream(PatternSpec::incast(8), 3, FLOWS)
         .stream_record_exact()
-        .sim_threads(threads)
 }
 
 /// Everything the run observed, without `engine_path`.
@@ -49,26 +46,16 @@ fn fingerprint(res: &RunResults) -> String {
 }
 
 #[test]
-fn two_thread_fat_tree_matches_one_thread_and_names_its_path() {
-    let one = cell(1).run_until_nanos(HORIZON_NANOS);
-    assert_eq!(one.engine_path, EnginePath::PacketSequential);
-    assert_eq!(one.stream.as_ref().map(|s| s.completed), Some(FLOWS));
-
-    let two = cell(2).run_until_nanos(HORIZON_NANOS);
-    assert!(
-        matches!(
-            two.engine_path,
-            EnginePath::PacketSharded { lps: 2 } | EnginePath::ShardedFallback { lps: 2, .. }
-        ),
-        "2 threads took {}",
-        two.engine_path
-    );
-    assert_eq!(fingerprint(&one), fingerprint(&two));
+fn packet_run_reports_packet() {
+    let res = cell().run_until_nanos(HORIZON_NANOS);
+    assert_eq!(res.engine_path, EnginePath::Packet);
+    assert_eq!(res.engine_path.to_string(), "packet");
+    assert_eq!(res.stream.as_ref().map(|s| s.completed), Some(FLOWS));
 }
 
 #[test]
 fn fluid_run_reports_fluid() {
-    let res = cell(1)
+    let res = cell()
         .engine(EngineKind::Fluid)
         .run_until_nanos(HORIZON_NANOS);
     assert_eq!(res.engine_path, EnginePath::Fluid);
@@ -77,17 +64,17 @@ fn fluid_run_reports_fluid() {
 
 #[test]
 fn regional_with_an_empty_hot_set_is_fluid_and_auto_names_its_hot_set() {
-    let fluid = cell(1)
+    let fluid = cell()
         .engine(EngineKind::Fluid)
         .run_until_nanos(HORIZON_NANOS);
-    let empty = cell(1)
+    let empty = cell()
         .engine(EngineKind::Regional)
         .region(RegionSpec::Ports(vec![]))
         .run_until_nanos(HORIZON_NANOS);
     assert_eq!(empty.engine_path.to_string(), "fluid");
     assert_eq!(fingerprint(&empty), fingerprint(&fluid));
 
-    let auto = cell(1)
+    let auto = cell()
         .engine(EngineKind::Regional)
         .region(RegionSpec::Auto)
         .run_until_nanos(HORIZON_NANOS);
