@@ -42,7 +42,7 @@ pub fn ext_per_pool_violation(out: &mut String, quick: bool) -> (f64, f64) {
         let s = w.add_switch();
         for h in 0..11 {
             let p = w.wire_host(h, s, 10_000_000_000, 5_000, &cfg);
-            w.set_route(s, h, vec![p]);
+            w.set_route(s, h, p..p + 1);
         }
         for sender in 0..8 {
             w.add_flow(FlowDesc::long_lived(sender, 9, sender % 8));
@@ -406,7 +406,7 @@ pub fn ext_dynamic_threshold(out: &mut String, quick: bool) -> (f64, f64) {
         let s = w.add_switch();
         for h in 0..4 {
             let p = w.wire_host(h, s, 10_000_000_000, 5_000, &cfg);
-            w.set_route(s, h, vec![p]);
+            w.set_route(s, h, p..p + 1);
         }
         w.add_flow(FlowDesc::long_lived(0, 3, 0));
         w.add_flow(FlowDesc::long_lived(1, 3, 0));

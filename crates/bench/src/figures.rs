@@ -584,7 +584,7 @@ fn slow_start_peak(
     let mut e = Experiment::dumbbell(4, 1)
         .marking(marking)
         .mark_point(point)
-        .link_rate_gbps(1)
+        .link_rate_bps(1_000_000_000)
         .watch_bottleneck(5_000);
     if let Some(thr) = pmsbe {
         e = e.pmsbe_rtt_threshold_nanos(thr);

@@ -164,11 +164,14 @@ impl RunOptions {
     /// Consumes the harness flags (`--jobs N`, `--results DIR`,
     /// `--quiet`) from a raw argument list and returns the options
     /// plus the arguments it did not recognize, for the caller to
-    /// parse. Flag values must not start with `--`.
+    /// parse. Flag values must not start with `--`, and a flag that
+    /// takes a value must not be given twice.
     pub fn take_flags(args: Vec<String>) -> Result<(RunOptions, Vec<String>), String> {
         let mut opts = RunOptions::default();
+        let mut results = None;
         let mut rest = Vec::new();
         let mut it = args.into_iter();
+        let twice = |flag: &str| format!("option {flag} given twice (accepted: once)");
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--jobs" => {
@@ -179,14 +182,22 @@ impl RunOptions {
                     if n == 0 {
                         return Err("--jobs must be at least 1".to_string());
                     }
-                    opts.jobs = Some(n);
+                    if opts.jobs.replace(n).is_some() {
+                        return Err(twice(&arg));
+                    }
                 }
                 "--results" => {
-                    opts.results_root = PathBuf::from(flag_value(&arg, it.next())?);
+                    let dir = PathBuf::from(flag_value(&arg, it.next())?);
+                    if results.replace(dir).is_some() {
+                        return Err(twice(&arg));
+                    }
                 }
                 "--quiet" => opts.quiet = true,
                 _ => rest.push(arg),
             }
+        }
+        if let Some(dir) = results {
+            opts.results_root = dir;
         }
         Ok((opts, rest))
     }
@@ -594,6 +605,18 @@ mod tests {
         ] {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(RunOptions::take_flags(args).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn take_flags_rejects_a_repeated_value_flag() {
+        for bad in [
+            ["--jobs", "1", "--jobs", "2"],
+            ["--results", "a", "--results", "b"],
+        ] {
+            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
+            let err = RunOptions::take_flags(args).unwrap_err();
+            assert!(err.contains("given twice"), "{bad:?}: {err}");
         }
     }
 

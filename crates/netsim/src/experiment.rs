@@ -1,5 +1,6 @@
 //! High-level experiment builder: topology + scheme + flows → results.
 
+use crate::packet::HEADER_BYTES;
 use crate::topology;
 use pmsb::MarkPoint;
 use pmsb_workload::PatternSpec;
@@ -274,11 +275,10 @@ impl Experiment {
         self
     }
 
-    /// Sets all link rates (default 10 Gbps). A rate whose bits per
-    /// second overflow `u64` saturates, and [`Experiment::validate`]
-    /// rejects it.
-    pub fn link_rate_gbps(mut self, gbps: u64) -> Self {
-        self.link_rate_bps = gbps.saturating_mul(1_000_000_000);
+    /// Sets all link rates in bits per second (default 10 Gbps).
+    /// [`Experiment::validate`] rejects 0 and rates above 10⁹ Gbps.
+    pub fn link_rate_bps(mut self, bps: u64) -> Self {
+        self.link_rate_bps = bps;
         self
     }
 
@@ -432,7 +432,9 @@ impl Experiment {
     /// positive weights, links have a rate, every static flow's
     /// endpoints exist and its application rate, if any, is above 0),
     /// that link rate and delay stay within the range
-    /// the simulator's integer arithmetic carries, that the configured
+    /// the simulator's integer arithmetic carries, that every flow's
+    /// service and the MSS's frame fit the [`crate::packet::Packet`]
+    /// fields that carry them (16 and 32 bits), that the configured
     /// engine supports what the
     /// experiment asks of it (fault schedules, shared buffer policies,
     /// at most 16 queues per port and the default transport laws on the
@@ -473,12 +475,31 @@ impl Experiment {
                 self.link_delay_nanos
             )));
         }
+        let frame = self.transport.mss.saturating_add(HEADER_BYTES);
+        if frame > u64::from(u32::MAX) {
+            return Err(ConfigError::new(format!(
+                "an MSS of {} bytes makes frames past the packet's 32-bit length \
+                 (accepted: an MSS of at most {} bytes)",
+                self.transport.mss,
+                u64::from(u32::MAX) - HEADER_BYTES
+            )));
+        }
         let hosts = self.num_hosts();
         for f in &self.flows {
             if f.src_host.max(f.dst_host) >= hosts {
                 return Err(ConfigError::new(format!(
                     "flow {}>{} names a host the topology lacks (accepted: hosts 0..{hosts})",
                     f.src_host, f.dst_host
+                )));
+            }
+            if f.service > usize::from(u16::MAX) {
+                return Err(ConfigError::new(format!(
+                    "flow {}>{} has service {}, past the packet's 16-bit service field \
+                     (accepted: services 0..={})",
+                    f.src_host,
+                    f.dst_host,
+                    f.service,
+                    u16::MAX
                 )));
             }
             if f.app_rate_bps == Some(0) {
@@ -609,7 +630,7 @@ mod tests {
                 weights: vec![1, 1],
             })
             .mark_point(MarkPoint::Dequeue)
-            .link_rate_gbps(1)
+            .link_rate_bps(1_000_000_000)
             .link_delay_nanos(2_000)
             .buffer_bytes(512 * 1024)
             .record_rtt();
@@ -769,15 +790,18 @@ mod tests {
             weights: vec![1, 0],
         });
         assert!(err(zero_weight).contains(no_queues));
-        assert!(err(Experiment::dumbbell(2, 2).link_rate_gbps(0)).contains("a link rate above 0"));
+        assert!(err(Experiment::dumbbell(2, 2).link_rate_bps(0)).contains("a link rate above 0"));
         let rates = "accepted: 1..=1000000000 Gbps";
-        for gbps in [1_000_000_001, 18_446_744_073, 18_446_744_074, u64::MAX] {
-            assert!(err(Experiment::dumbbell(2, 2).link_rate_gbps(gbps)).contains(rates));
+        let max_bps = 1_000_000_000 * 1_000_000_000;
+        for bps in [max_bps + 1, 18_446_744_073_000_000_000, u64::MAX] {
+            assert!(err(Experiment::dumbbell(2, 2).link_rate_bps(bps)).contains(rates));
         }
-        assert!(Experiment::dumbbell(2, 2)
-            .link_rate_gbps(1_000_000_000)
-            .validate()
-            .is_ok());
+        for bps in [1, 2_500_000_000, max_bps] {
+            assert!(Experiment::dumbbell(2, 2)
+                .link_rate_bps(bps)
+                .validate()
+                .is_ok());
+        }
         let delays = "accepted: 0..=1000000000 ns";
         for nanos in [1_000_000_001, u64::MAX] {
             assert!(err(Experiment::dumbbell(2, 2).link_delay_nanos(nanos)).contains(delays));
@@ -794,6 +818,39 @@ mod tests {
         let mut fine = Experiment::dumbbell(2, 2);
         fine.add_flow(FlowDesc::bulk(1, 2, 0, 1_000));
         assert!(fine.validate().is_ok());
+    }
+
+    /// A packet carries the service in 16 bits and its frame length in
+    /// 32: a service or an MSS past them is a `ConfigError`, not a
+    /// silent wrap.
+    #[test]
+    fn validate_rejects_services_and_frames_past_the_packet_fields() {
+        let with_service = |service| {
+            let mut e = Experiment::dumbbell(2, 2);
+            e.add_flow(FlowDesc::bulk(0, 2, service, 1_000));
+            e.validate()
+        };
+        let err = with_service(65_536).unwrap_err().to_string();
+        assert!(
+            err.contains("flow 0>2") && err.contains("accepted: services 0..=65535"),
+            "{err}"
+        );
+        assert!(with_service(65_535).is_ok());
+        let with_mss = |mss| {
+            Experiment::dumbbell(2, 2)
+                .transport(TransportConfig {
+                    mss,
+                    ..TransportConfig::default()
+                })
+                .validate()
+        };
+        let err = with_mss(1 << 32).unwrap_err().to_string();
+        assert!(
+            err.contains("accepted: an MSS of at most 4294967255 bytes"),
+            "{err}"
+        );
+        assert!(with_mss(u64::MAX).is_err());
+        assert!(with_mss(u64::from(u32::MAX) - HEADER_BYTES).is_ok());
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub enum PacketKind {
         /// First payload byte number.
         seq: u64,
         /// Payload length in bytes.
-        len: u64,
+        len: u32,
     },
     /// A cumulative acknowledgement.
     Ack {
@@ -43,18 +43,23 @@ pub enum PacketKind {
 /// and echoed back on the ACK, giving the sender an exact per-ACK RTT —
 /// the signal PMSB(e) needs) and `enqueued_at_nanos` (stamped at each
 /// switch queue admission, giving TCN its sojourn time).
+///
+/// Every hop moves a packet by value, so its fields are as narrow as the
+/// inputs [`Experiment::validate`](crate::experiment::Experiment::validate)
+/// accepts: host indices in `u32`, the service in `u16`, and frame and
+/// payload lengths in `u32`. A packet is at most 64 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// The flow this packet belongs to.
     pub flow_id: u64,
     /// Originating host (node id).
-    pub src_host: usize,
+    pub src_host: u32,
     /// Destination host (node id).
-    pub dst_host: usize,
+    pub dst_host: u32,
     /// Service class; switches map it onto a queue.
-    pub service: usize,
+    pub service: u16,
     /// Payload + headers as buffered and serialized.
-    pub wire_bytes: u64,
+    pub wire_bytes: u32,
     /// ECN-Capable Transport: eligible for CE marking.
     pub ect: bool,
     /// Congestion Experienced: set by a switch's marking scheme.
@@ -76,14 +81,17 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Builds a data segment of `len` payload bytes.
+    /// Builds a data segment of `len` payload bytes; `len` plus the
+    /// headers must fit in `u32`, which
+    /// [`TransportSender::new`](crate::transport::TransportSender::new)
+    /// checks for its MSS.
     pub fn data(
         flow_id: u64,
-        src_host: usize,
-        dst_host: usize,
-        service: usize,
+        src_host: u32,
+        dst_host: u32,
+        service: u16,
         seq: u64,
-        len: u64,
+        len: u32,
         now_nanos: u64,
     ) -> Packet {
         Packet {
@@ -91,7 +99,7 @@ impl Packet {
             src_host,
             dst_host,
             service,
-            wire_bytes: len + HEADER_BYTES,
+            wire_bytes: len + HEADER_BYTES as u32,
             ect: true,
             ce: false,
             cwr: false,
@@ -106,9 +114,9 @@ impl Packet {
     /// never CE-marked), as in standard ECN.
     pub fn ack(
         flow_id: u64,
-        src_host: usize,
-        dst_host: usize,
-        service: usize,
+        src_host: u32,
+        dst_host: u32,
+        service: u16,
         cum_ack: u64,
         ece: bool,
         echo_sent_at_nanos: u64,
@@ -118,7 +126,7 @@ impl Packet {
             src_host,
             dst_host,
             service,
-            wire_bytes: ACK_WIRE_BYTES,
+            wire_bytes: ACK_WIRE_BYTES as u32,
             ect: false,
             ce: false,
             cwr: false,
@@ -131,19 +139,13 @@ impl Packet {
 
     /// Builds a teardown notice for a completed flow. Fin packets are
     /// ACK-sized and, like ACKs, not ECT.
-    pub fn fin(
-        flow_id: u64,
-        src_host: usize,
-        dst_host: usize,
-        service: usize,
-        now_nanos: u64,
-    ) -> Packet {
+    pub fn fin(flow_id: u64, src_host: u32, dst_host: u32, service: u16, now_nanos: u64) -> Packet {
         Packet {
             flow_id,
             src_host,
             dst_host,
             service,
-            wire_bytes: ACK_WIRE_BYTES,
+            wire_bytes: ACK_WIRE_BYTES as u32,
             ect: false,
             ce: false,
             cwr: false,
@@ -162,7 +164,7 @@ impl Packet {
 
 impl SchedItem for Packet {
     fn len_bytes(&self) -> u64 {
-        self.wire_bytes
+        u64::from(self.wire_bytes)
     }
 }
 
@@ -172,8 +174,8 @@ mod tests {
 
     #[test]
     fn data_packet_wire_size_includes_header() {
-        let p = Packet::data(1, 0, 2, 0, 0, DEFAULT_MSS, 5);
-        assert_eq!(p.wire_bytes, MTU_WIRE_BYTES);
+        let p = Packet::data(1, 0, 2, 0, 0, DEFAULT_MSS as u32, 5);
+        assert_eq!(u64::from(p.wire_bytes), MTU_WIRE_BYTES);
         assert!(p.ect);
         assert!(!p.ce);
         assert!(p.is_data());
@@ -183,7 +185,7 @@ mod tests {
     #[test]
     fn ack_is_small_and_not_ect() {
         let a = Packet::ack(1, 2, 0, 0, 1460, true, 42);
-        assert_eq!(a.wire_bytes, ACK_WIRE_BYTES);
+        assert_eq!(u64::from(a.wire_bytes), ACK_WIRE_BYTES);
         assert!(!a.ect);
         assert!(!a.is_data());
         assert_eq!(a.sent_at_nanos, 42, "ACK echoes the data timestamp");
@@ -194,5 +196,12 @@ mod tests {
             }
             _ => panic!("not an ack"),
         }
+    }
+
+    /// Every hop moves a packet by value and every `Deliver` event holds
+    /// one: it must stay within 64 bytes, a cache line's worth.
+    #[test]
+    fn a_packet_fits_64_bytes() {
+        assert!(std::mem::size_of::<Packet>() <= 64);
     }
 }

@@ -1,20 +1,38 @@
 //! Static routing with per-flow ECMP.
 
+use std::ops::Range;
+
+/// One destination's candidate ports, `first..first + count`; a zero
+/// `count` means no route.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortRange {
+    first: u32,
+    count: u32,
+}
+
+impl PortRange {
+    fn ports(self) -> Range<usize> {
+        let first = self.first as usize;
+        first..first + self.count as usize
+    }
+}
+
 /// A switch's forwarding table: for each destination host, the candidate
-/// output ports. Multiple candidates (leaf uplinks) are load-balanced by
-/// per-flow ECMP hashing, so one flow always takes one path (no packet
-/// reordering from the fabric).
+/// output ports as one contiguous range, 8 bytes per destination and no
+/// allocation per route. Multiple candidates (leaf uplinks) are
+/// load-balanced by per-flow ECMP hashing, so one flow always takes one
+/// path (no packet reordering from the fabric).
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
     /// `routes[dst_host]` = candidate output ports.
-    routes: Vec<Vec<usize>>,
+    routes: Vec<PortRange>,
 }
 
 impl RouteTable {
     /// Creates a table covering `num_hosts` destinations with no routes.
     pub fn new(num_hosts: usize) -> Self {
         RouteTable {
-            routes: vec![Vec::new(); num_hosts],
+            routes: vec![PortRange::default(); num_hosts],
         }
     }
 
@@ -23,13 +41,31 @@ impl RouteTable {
     ///
     /// # Panics
     ///
-    /// Panics if `ports` is empty.
-    pub fn set(&mut self, dst_host: usize, ports: Vec<usize>) {
+    /// Panics if `ports` is empty or ends past port `u32::MAX`.
+    pub fn set(&mut self, dst_host: usize, ports: Range<usize>) {
         assert!(!ports.is_empty(), "a route needs at least one port");
+        let end = u32::try_from(ports.end).expect("port indices fit in u32");
         if dst_host >= self.routes.len() {
-            self.routes.resize(dst_host + 1, Vec::new());
+            self.routes.resize(dst_host + 1, PortRange::default());
         }
-        self.routes[dst_host] = ports;
+        self.routes[dst_host] = PortRange {
+            first: ports.start as u32,
+            count: end - ports.start as u32,
+        };
+    }
+
+    /// The candidate ports for `dst_host`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no route to `dst_host` exists.
+    fn route(&self, dst_host: usize, flow_id: u64) -> Range<usize> {
+        let ports = self.candidates(dst_host);
+        assert!(
+            !ports.is_empty(),
+            "no route to host {dst_host} (flow {flow_id})"
+        );
+        ports
     }
 
     /// The output port for `flow_id` towards `dst_host` (ECMP over the
@@ -39,17 +75,14 @@ impl RouteTable {
     ///
     /// Panics if no route to `dst_host` exists.
     pub fn port_for(&self, dst_host: usize, flow_id: u64) -> usize {
-        let candidates = self.routes.get(dst_host).map(Vec::as_slice).unwrap_or(&[]);
-        assert!(
-            !candidates.is_empty(),
-            "no route to host {dst_host} (flow {flow_id})"
-        );
-        candidates[ecmp_hash(flow_id) as usize % candidates.len()]
+        let ports = self.route(dst_host, flow_id);
+        ports.start + ecmp_hash(flow_id) as usize % ports.len()
     }
 
-    /// The candidate ports for `dst_host` (for tests/diagnostics).
-    pub fn candidates(&self, dst_host: usize) -> &[usize] {
-        self.routes.get(dst_host).map(Vec::as_slice).unwrap_or(&[])
+    /// The candidate ports for `dst_host`, empty when there is no route
+    /// (for tests/diagnostics).
+    pub fn candidates(&self, dst_host: usize) -> Range<usize> {
+        self.routes.get(dst_host).map_or(0..0, |&r| r.ports())
     }
 
     /// The output port for `flow_id` towards `dst_host`, skipping
@@ -57,7 +90,7 @@ impl RouteTable {
     /// injection). `None` when every candidate is down.
     ///
     /// The selection re-hashes deterministically over the surviving
-    /// candidates in table order: two runs with the same topology, flow
+    /// candidates in port order: two runs with the same topology, flow
     /// ids, and fault schedule pick identical paths. With every
     /// candidate up the choice equals [`RouteTable::port_for`], so ECMP
     /// re-converges to the original paths when a link recovers.
@@ -71,17 +104,13 @@ impl RouteTable {
         flow_id: u64,
         is_up: impl Fn(usize) -> bool,
     ) -> Option<usize> {
-        let candidates = self.routes.get(dst_host).map(Vec::as_slice).unwrap_or(&[]);
-        assert!(
-            !candidates.is_empty(),
-            "no route to host {dst_host} (flow {flow_id})"
-        );
-        let live = candidates.iter().filter(|&&p| is_up(p)).count();
+        let ports = self.route(dst_host, flow_id);
+        let live = ports.clone().filter(|&p| is_up(p)).count();
         if live == 0 {
             return None;
         }
         let k = ecmp_hash(flow_id) as usize % live;
-        candidates.iter().filter(|&&p| is_up(p)).nth(k).copied()
+        ports.filter(|&p| is_up(p)).nth(k)
     }
 }
 
@@ -102,16 +131,41 @@ mod tests {
     #[test]
     fn single_route_always_used() {
         let mut t = RouteTable::new(4);
-        t.set(2, vec![7]);
+        t.set(2, 7..8);
         for flow in 0..100 {
             assert_eq!(t.port_for(2, flow), 7);
         }
     }
 
+    /// A range picks the port a list of the same ports in order picked,
+    /// the one at `ecmp_hash(flow) % count`, so every path stays put.
+    #[test]
+    fn a_range_picks_the_listed_port_at_the_hash() {
+        let mut t = RouteTable::new(1);
+        t.set(0, 2..6);
+        let listed = [2, 3, 4, 5];
+        for flow in 0..1000 {
+            let expected = listed[ecmp_hash(flow) as usize % listed.len()];
+            assert_eq!(t.port_for(0, flow), expected);
+        }
+    }
+
+    /// One route is one 8-byte entry with no allocation of its own; a
+    /// destination without a route has no candidates.
+    #[test]
+    fn a_route_is_one_eight_byte_range() {
+        assert!(std::mem::size_of::<PortRange>() <= 8);
+        let mut t = RouteTable::new(2);
+        t.set(0, 4..8);
+        assert_eq!(t.candidates(0), 4..8);
+        assert!(t.candidates(1).is_empty());
+        assert!(t.candidates(9).is_empty());
+    }
+
     #[test]
     fn ecmp_spreads_flows_roughly_evenly() {
         let mut t = RouteTable::new(1);
-        t.set(0, vec![0, 1, 2, 3]);
+        t.set(0, 0..4);
         let mut counts = [0usize; 4];
         for flow in 0..4000 {
             counts[t.port_for(0, flow)] += 1;
@@ -124,7 +178,7 @@ mod tests {
     #[test]
     fn same_flow_same_path() {
         let mut t = RouteTable::new(1);
-        t.set(0, vec![0, 1, 2, 3]);
+        t.set(0, 0..4);
         for flow in 0..50 {
             let first = t.port_for(0, flow);
             for _ in 0..10 {
@@ -156,7 +210,7 @@ mod tests {
         let build = || {
             let mut t = RouteTable::new(8);
             for dst in 0..8 {
-                t.set(dst, vec![4, 5, 6, 7]);
+                t.set(dst, 4..8);
             }
             t
         };
@@ -174,7 +228,7 @@ mod tests {
     #[test]
     fn masked_selection_matches_unmasked_when_all_up() {
         let mut t = RouteTable::new(1);
-        t.set(0, vec![2, 3, 4, 5]);
+        t.set(0, 2..6);
         for flow in 0..1000 {
             assert_eq!(
                 t.port_for_masked(0, flow, |_| true),
@@ -188,7 +242,7 @@ mod tests {
     #[test]
     fn rehash_avoids_dead_link_and_reconverges() {
         let mut t = RouteTable::new(1);
-        t.set(0, vec![2, 3, 4, 5]);
+        t.set(0, 2..6);
         let dead = 4usize;
         let mut moved = 0;
         for flow in 0..1000u64 {
@@ -218,7 +272,7 @@ mod tests {
     #[test]
     fn fully_dead_candidate_set_yields_none() {
         let mut t = RouteTable::new(1);
-        t.set(0, vec![1, 2]);
+        t.set(0, 1..3);
         assert_eq!(t.port_for_masked(0, 7, |_| false), None);
     }
 }

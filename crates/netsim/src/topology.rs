@@ -45,7 +45,7 @@ pub fn dumbbell(
     let s = w.add_switch();
     for &h in &hosts {
         let port = w.wire_host(h, s, rate_bps, delay_nanos, switch_cfg);
-        w.set_route(s, h, vec![port]);
+        w.set_route(s, h, port..port + 1);
     }
     w
 }
@@ -96,14 +96,14 @@ pub fn leaf_spine(
         let dst_leaf = dst / hosts_per_leaf;
         for (l, &leaf) in leaf_idx.iter().enumerate() {
             if l == dst_leaf {
-                w.set_route(leaf, dst, vec![dst % hosts_per_leaf]);
+                let down = dst % hosts_per_leaf;
+                w.set_route(leaf, dst, down..down + 1);
             } else {
-                let uplinks: Vec<usize> = (hosts_per_leaf..hosts_per_leaf + spines).collect();
-                w.set_route(leaf, dst, uplinks);
+                w.set_route(leaf, dst, hosts_per_leaf..hosts_per_leaf + spines);
             }
         }
         for &spine in &spine_idx {
-            w.set_route(spine, dst, vec![dst_leaf]);
+            w.set_route(spine, dst, dst_leaf..dst_leaf + 1);
         }
     }
     w
@@ -183,7 +183,8 @@ pub fn fat_tree(
     }
     // Routes: downward paths are unique, upward paths fan out over every
     // uplink (per-flow ECMP picks one deterministically by flow id).
-    let uplinks: Vec<usize> = (half..k).collect();
+    // Uplinks are ports `k/2..k` on edges and aggregations alike.
+    let uplinks = half..k;
     for dst in 0..num_hosts {
         let dp = dst / hosts_per_pod;
         let di = (dst % hosts_per_pod) / half;
@@ -191,7 +192,8 @@ pub fn fat_tree(
             for i in 0..half {
                 let e = edge(p, i);
                 if p == dp && i == di {
-                    w.set_route(e, dst, vec![dst % half]);
+                    let down = dst % half;
+                    w.set_route(e, dst, down..down + 1);
                 } else {
                     w.set_route(e, dst, uplinks.clone());
                 }
@@ -199,7 +201,7 @@ pub fn fat_tree(
             for j in 0..half {
                 let a = agg(p, j);
                 if p == dp {
-                    w.set_route(a, dst, vec![di]);
+                    w.set_route(a, dst, di..di + 1);
                 } else {
                     w.set_route(a, dst, uplinks.clone());
                 }
@@ -207,7 +209,7 @@ pub fn fat_tree(
         }
         for j in 0..half {
             for c in 0..half {
-                w.set_route(core(j, c), dst, vec![dp]);
+                w.set_route(core(j, c), dst, dp..dp + 1);
             }
         }
     }

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use pmsb::endpoint::SelectiveBlindness;
 
 use crate::config::{EcnResponse, TransportConfig, TransportKind};
-use crate::packet::{Packet, PacketKind};
+use crate::packet::{Packet, PacketKind, HEADER_BYTES};
 
 use super::{Receiver, ReceiverOutput, Sender, SenderOutput, SenderStats, TimerArm};
 
@@ -62,9 +62,9 @@ enum Reaction {
 pub struct TransportSender {
     // Identity.
     flow_id: u64,
-    src_host: usize,
-    dst_host: usize,
-    service: usize,
+    src_host: u32,
+    dst_host: u32,
+    service: u16,
     size_bytes: u64,
     app_rate_bps: Option<u64>,
     start_nanos: u64,
@@ -114,17 +114,27 @@ impl TransportSender {
     /// [`TransportConfig::ecn_response`] select. `app_rate_bps` caps the
     /// application's offered rate (the paper's "start a 5 Gbps TCP
     /// flow").
+    ///
+    /// # Panics
+    ///
+    /// Panics if a full segment's frame, [`TransportConfig::mss`] plus
+    /// the headers, does not fit in `u32` bytes (see [`Packet`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         flow_id: u64,
-        src_host: usize,
-        dst_host: usize,
-        service: usize,
+        src_host: u32,
+        dst_host: u32,
+        service: u16,
         size_bytes: u64,
         app_rate_bps: Option<u64>,
         start_nanos: u64,
         config: &TransportConfig,
     ) -> Self {
+        assert!(
+            config.mss.saturating_add(HEADER_BYTES) <= u64::from(u32::MAX),
+            "an MSS of {} bytes makes frames past u32::MAX bytes",
+            config.mss
+        );
         let reaction = match config.kind {
             TransportKind::Dctcp => Reaction::Window {
                 g: config.g,
@@ -206,7 +216,7 @@ impl TransportSender {
             self.dst_host,
             self.service,
             seq,
-            len,
+            len as u32, // at most the MSS, which `new` bounds
             now_nanos,
         );
         if let Reaction::Rfc3168 { signal_cwr, .. } = &mut self.reaction {
@@ -605,7 +615,7 @@ pub struct TransportReceiver {
     echo: Echo,
     /// Addressing/timestamp template from the latest data packet, for
     /// timer-generated ACKs: `(src, dst, service, sent_at)`.
-    last_data: Option<(usize, usize, usize, u64)>,
+    last_data: Option<(u32, u32, u16, u64)>,
 }
 
 impl TransportReceiver {
@@ -672,7 +682,7 @@ impl Receiver for TransportReceiver {
         };
         let in_order = seq == self.rcv_nxt;
         let had_gap = !self.ooo.is_empty();
-        let end = seq + len;
+        let end = seq + u64::from(len);
         if end > self.rcv_nxt {
             // Record the new interval (may overlap existing ones).
             let entry = self.ooo.entry(seq.max(self.rcv_nxt)).or_insert(0);
@@ -761,7 +771,7 @@ mod tests {
         let PacketKind::Data { seq, len } = p.kind else {
             unreachable!("senders emit data")
         };
-        (seq, len)
+        (seq, u64::from(len))
     }
 
     fn ack_of(p: &Packet) -> (u64, bool) {
@@ -1506,23 +1516,23 @@ mod tests {
             let mut rng = SimRng::seed_from(0x7a);
             for reaction in REACTIONS {
                 for _ in 0..32 {
-                    let mss = 1460u64;
+                    let mss = 1460u32;
                     let mut r = receiver(reaction, 9, 1);
                     let mut delivered = [false; 20];
                     for _ in 0..(30 + rng.below(30)) {
                         let idx = rng.below(20);
                         delivered[idx] = true;
-                        let p = Packet::data(9, 0, 1, 0, idx as u64 * mss, mss, 0);
+                        let p = Packet::data(9, 0, 1, 0, (idx as u32 * mss).into(), mss, 0);
                         r.on_data(&p, 0);
                     }
                     // Deliver whatever the random order missed, in order.
                     for (idx, seen) in delivered.iter().enumerate() {
                         if !seen {
-                            let p = Packet::data(9, 0, 1, 0, idx as u64 * mss, mss, 0);
+                            let p = Packet::data(9, 0, 1, 0, (idx as u32 * mss).into(), mss, 0);
                             r.on_data(&p, 0);
                         }
                     }
-                    assert_eq!(r.rcv_nxt(), 20 * mss, "{reaction:?}");
+                    assert_eq!(r.rcv_nxt(), u64::from(20 * mss), "{reaction:?}");
                 }
             }
         }

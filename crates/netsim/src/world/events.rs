@@ -132,11 +132,12 @@ impl EventHandler for World {
         match event {
             Event::FlowStart { flow_id } => {
                 let desc = self.flows[flow_id as usize];
+                let (src, dst, service) = desc.packet_ids();
                 let mut sender = TransportSender::new(
                     flow_id,
-                    desc.src_host,
-                    desc.dst_host,
-                    desc.service,
+                    src,
+                    dst,
+                    service,
                     desc.size_bytes,
                     desc.app_rate_bps,
                     now,
@@ -246,5 +247,18 @@ impl EventHandler for World {
             }
             Event::Fault => self.apply_next_fault(now, queue),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The FEL stores every event inline, and the largest is a
+    /// `Deliver` with its packet: an event stays within 80 bytes, so a
+    /// FEL node stays within 104.
+    #[test]
+    fn an_event_fits_80_bytes() {
+        assert!(std::mem::size_of::<Event>() <= 80);
     }
 }

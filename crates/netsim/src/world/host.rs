@@ -4,7 +4,7 @@
 use pmsb::marking::MarkingScheme;
 use pmsb::MarkPoint;
 use pmsb_metrics::fct::FlowRecord;
-use pmsb_sched::MultiQueue;
+use pmsb_sched::{MultiQueue, SchedItem as _};
 use pmsb_simcore::{EventQueue, SimDuration, SimTime};
 
 use crate::packet::{Packet, PacketKind};
@@ -98,10 +98,7 @@ impl World {
             return;
         }
         let sender = self.slab[slot].sender.take().expect("taken once");
-        let (dst, service) = (
-            self.slab[slot].dst_host as usize,
-            self.slab[slot].service as usize,
-        );
+        let (dst, service) = (self.slab[slot].dst_host, self.slab[slot].service);
         let st = self.stream.as_deref_mut().expect("streaming mode");
         st.completed += 1;
         st.bytes_completed += rec.bytes;
@@ -110,7 +107,9 @@ impl World {
         if st.record_exact {
             self.fct.record(rec);
         }
-        let fin = Packet::fin(flow_id, host, dst, service, now);
+        // `host` is the flow's source, which `FlowDesc::packet_ids`
+        // checked against u32 when the flow started.
+        let fin = Packet::fin(flow_id, host as u32, dst, service, now);
         self.host_enqueue(host, fin, now, queue);
         self.retire_slot_if_done(flow_id);
     }
@@ -193,7 +192,7 @@ impl World {
                 rt.report.injected_drops += 1;
             }
         }
-        let ser = SimDuration::for_bytes(pkt.wire_bytes, rate_bps).as_nanos();
+        let ser = SimDuration::for_bytes(pkt.len_bytes(), rate_bps).as_nanos();
         queue.push(
             SimTime::from_nanos(now + ser),
             Event::TransmitDone {

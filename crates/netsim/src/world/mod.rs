@@ -33,6 +33,7 @@ pub use types::{EnginePath, FlowDesc, NodeRef, RunResults, StreamStats};
 use types::add_sender_stats;
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use pmsb_metrics::fct::FctRecorder;
 use pmsb_metrics::QuantileSketch;
@@ -108,9 +109,9 @@ impl World {
         self.switches[switch].ports.len()
     }
 
-    /// Candidate output ports on `switch` towards `dst_host` (for
-    /// topology validation and tests).
-    pub fn route_candidates(&self, switch: usize, dst_host: usize) -> &[usize] {
+    /// Candidate output ports on `switch` towards `dst_host`, empty when
+    /// there is no route (for topology validation and tests).
+    pub fn route_candidates(&self, switch: usize, dst_host: usize) -> Range<usize> {
         self.switches[switch].routes.candidates(dst_host)
     }
 
@@ -251,8 +252,14 @@ impl World {
         (pa, pb)
     }
 
-    /// Sets the candidate output ports on `switch` towards `dst_host`.
-    pub fn set_route(&mut self, switch: usize, dst_host: usize, ports: Vec<usize>) {
+    /// Sets the candidate output ports on `switch` towards `dst_host`: one
+    /// contiguous range, over which per-flow ECMP picks
+    /// `ports.start + ecmp_hash(flow) % ports.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports` is empty.
+    pub fn set_route(&mut self, switch: usize, dst_host: usize, ports: Range<usize>) {
         self.switches[switch].routes.set(dst_host, ports);
     }
 
@@ -372,11 +379,12 @@ impl World {
         if let Some(at) = next_at {
             queue.push(SimTime::from_nanos(at.max(now)), Event::FlowArrival);
         }
+        let (src, dst, service) = desc.packet_ids();
         let mut sender = TransportSender::new(
             flow_id,
-            desc.src_host,
-            desc.dst_host,
-            desc.service,
+            src,
+            dst,
+            service,
             desc.size_bytes,
             desc.app_rate_bps,
             now,
@@ -389,8 +397,8 @@ impl World {
                 sender: Some(sender),
                 receiver: None,
                 rto_next_fire: u64::MAX,
-                dst_host: desc.dst_host as u32,
-                service: desc.service as u16,
+                dst_host: dst,
+                service,
             },
         );
         self.stream.as_deref_mut().expect("checked above").injected += 1;
@@ -406,7 +414,7 @@ impl World {
         sim.handler.harvest(end_nanos, events)
     }
 
-    /// Sizes the hot-path storage and seeds the FEL with the initial
+    /// Slots static flows, sizes the FEL and seeds it with the initial
     /// events, returning the simulation ready to drive.
     fn prepare(mut self, end_nanos: u64) -> Simulation<World> {
         self.end_nanos = end_nanos;
@@ -417,24 +425,17 @@ impl World {
                 self.slab.insert(id, FlowSlot::empty());
             }
         }
-        // Pre-size the hot-path storage: the FEL for the in-flight event
-        // population (a generous per-flow share plus trace/timer headroom)
-        // and every port's ring buffers for a congested queue's worth of
-        // packets, so the steady state never grows a buffer. Streaming
-        // runs hold one arrival plus the
-        // concurrent flows' events — a flat reserve, independent of the
-        // total flow count.
+        // Pre-size the FEL for the in-flight event population: a generous
+        // per-flow share plus trace/timer headroom. Streaming runs hold one
+        // arrival plus the concurrent flows' events — a flat reserve,
+        // independent of the total flow count. Port and NIC rings are not
+        // pre-sized: a ring grows on its first packets, so memory follows
+        // the ports the traffic uses, not the fabric's port count.
         let queue_capacity = if self.stream.is_some() {
             4096
         } else {
             256 + 16 * self.flows.len()
         };
-        for h in &mut self.hosts {
-            h.nic.reserve(64);
-        }
-        for p in self.switches.iter_mut().flat_map(|s| &mut s.ports) {
-            p.mq.reserve(64);
-        }
         let mut sim = Simulation::new(self);
         sim.queue.reserve(queue_capacity);
         if sim.handler.stream.is_some() {
@@ -566,7 +567,7 @@ mod tests {
         let s = w.add_switch();
         for h in 0..=s_idx {
             let p = w.wire_host(h, s, 10_000_000_000, 5_000, &cfg);
-            w.set_route(s, h, vec![p]);
+            w.set_route(s, h, p..p + 1);
         }
         w
     }
@@ -712,7 +713,7 @@ mod tests {
             let s = w.add_switch();
             for h in 0..4 {
                 let p = w.wire_host(h, s, 10_000_000_000, 5_000, &cfg);
-                w.set_route(s, h, vec![p]);
+                w.set_route(s, h, p..p + 1);
             }
             w.add_flow(FlowDesc::long_lived(0, 3, 0));
             w.add_flow(FlowDesc::long_lived(1, 3, 0));

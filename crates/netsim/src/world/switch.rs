@@ -3,7 +3,7 @@
 
 use pmsb::marking::MarkingScheme;
 use pmsb::MarkPoint;
-use pmsb_sched::MultiQueue;
+use pmsb_sched::{MultiQueue, SchedItem as _};
 use pmsb_simcore::{EventQueue, SimDuration, SimTime};
 
 use crate::buffer::{Admit, SharedPool};
@@ -59,7 +59,7 @@ impl World {
             return;
         };
         if pool.is_shared() {
-            pool.on_dequeue(port, q, pkt.wire_bytes, now);
+            pool.on_dequeue(port, q, pkt.len_bytes(), now);
         }
         // Dequeue-point marking (PMSB/TCN early-notification experiments).
         if p.mark_point == MarkPoint::Dequeue && pkt.ect && !pkt.ce {
@@ -77,7 +77,7 @@ impl World {
             }
         }
         if let Some(tr) = p.trace.as_mut() {
-            tr.queue_throughput[q].add(now, pkt.wire_bytes);
+            tr.queue_throughput[q].add(now, pkt.len_bytes());
         }
         p.busy = true;
         let link = p.link;
@@ -93,7 +93,7 @@ impl World {
                 rt.report.injected_drops += 1;
             }
         }
-        let ser = SimDuration::for_bytes(pkt.wire_bytes, rate_bps).as_nanos();
+        let ser = SimDuration::for_bytes(pkt.len_bytes(), rate_bps).as_nanos();
         queue.push(
             SimTime::from_nanos(now + ser),
             Event::TransmitDone {
@@ -126,17 +126,16 @@ impl World {
         now: u64,
         queue: &mut EventQueue<Event>,
     ) {
+        let dst = pkt.dst_host as usize;
         let out_port = match self.faults.as_deref_mut() {
-            None => self.switches[switch]
-                .routes
-                .port_for(pkt.dst_host, pkt.flow_id),
+            None => self.switches[switch].routes.port_for(dst, pkt.flow_id),
             // ECMP re-hashes deterministically over the live candidates;
             // with everything up this equals the unmasked choice.
             Some(rt) => {
                 let up = &rt.switches[switch];
                 match self.switches[switch]
                     .routes
-                    .port_for_masked(pkt.dst_host, pkt.flow_id, |p| up[p].up)
+                    .port_for_masked(dst, pkt.flow_id, |p| up[p].up)
                 {
                     Some(p) => p,
                     None => {
@@ -164,7 +163,7 @@ impl World {
         let marks = &mut self.marks;
         let Switch { ports, pool, .. } = &mut self.switches[switch];
         let p = &mut ports[out_port];
-        let q = pkt.service % p.mq.num_queues();
+        let q = usize::from(pkt.service) % p.mq.num_queues();
         pkt.enqueued_at_nanos = now;
         // Enqueue-point marking: decide on the occupancy the packet meets.
         // Marking runs before admission (the ASIC marks what it accepts;
@@ -188,7 +187,7 @@ impl World {
             // admitted packet's enqueue cannot fail except under a
             // fault-shrunk port cap — in which case the MultiQueue counts
             // the drop and the pool must not book the bytes.
-            let wire = pkt.wire_bytes;
+            let wire = pkt.len_bytes();
             if pool.try_admit(out_port, q, p.mq.queue_bytes(q), wire) == Admit::Ok
                 && p.mq.enqueue(q, pkt, now).is_ok()
             {

@@ -81,6 +81,21 @@ impl FlowDesc {
         self.start_nanos = nanos;
         self
     }
+
+    /// Source, destination and service as a [`Packet`](crate::packet::Packet)
+    /// carries them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a host index does not fit in `u32` or the service in
+    /// `u16`; [`Experiment::validate`](crate::experiment::Experiment::validate)
+    /// rejects such a flow.
+    pub(crate) fn packet_ids(&self) -> (u32, u32, u16) {
+        let host = |h: usize| u32::try_from(h).expect("host indices fit in u32");
+        let service = u16::try_from(self.service)
+            .unwrap_or_else(|_| panic!("flow service {} is above u16::MAX", self.service));
+        (host(self.src_host), host(self.dst_host), service)
+    }
 }
 
 /// One [`FlowSlab`](crate::slab::FlowSlab) slot of per-flow transport

@@ -52,8 +52,7 @@ fn count_paths(w: &World, src: usize, dst: usize) -> usize {
             NodeRef::Host(h) => usize::from(h == dst),
             NodeRef::Switch(s) => w
                 .route_candidates(s, dst)
-                .iter()
-                .map(|&p| dfs(w, w.port_peer(s, p), dst, depth + 1))
+                .map(|p| dfs(w, w.port_peer(s, p), dst, depth + 1))
                 .sum(),
         }
     }

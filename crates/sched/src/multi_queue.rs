@@ -123,14 +123,6 @@ impl<T: SchedItem> MultiQueue<T> {
         }
     }
 
-    /// Pre-sizes every service queue for `items_per_queue` buffered items,
-    /// so steady-state operation does not grow ring buffers.
-    pub fn reserve(&mut self, items_per_queue: usize) {
-        for q in &mut self.queues {
-            q.reserve(items_per_queue);
-        }
-    }
-
     /// Appends `item` to queue `q` at time `now_nanos`.
     ///
     /// # Errors

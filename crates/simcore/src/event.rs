@@ -856,9 +856,9 @@ mod tests {
     #[test]
     fn a_node_is_its_event_plus_three_words() {
         // Time, seq and the list link: nothing per event beyond what the
-        // (time, seq) order needs. A 104-byte event (the netsim World's
-        // `Event`) takes a 136-byte node here; the World's own event
-        // fits its `Option` niche and takes 128.
+        // (time, seq) order needs. A 104-byte event takes a 136-byte node
+        // here. The netsim World's `Event` is at most 80 bytes and fits
+        // its `Option` niche, so a World node is at most 104.
         assert_eq!(std::mem::size_of::<Node<[u64; 13]>>(), 136);
     }
 }

@@ -41,7 +41,7 @@ USAGE:
                      [--scheduler SPEC] [--mark-point enq|deq]
                      [--pmsbe-us X] [--transport dctcp|newreno]
                      [--engine ENGINE] [--buffer SPEC]
-                     [--rate-gbps N] [--delay-ns N]
+                     [--rate-gbps X] [--delay-ns N]
                      [--millis N] [--watch true] [--fault-schedule FILE]
                      --flow SPEC [--flow SPEC ...]
   pmsb-sim leaf-spine [--load X] [--flows N] [--seed N] [--marking SPEC]
@@ -64,12 +64,12 @@ USAGE:
                      | any scenario (e.g. fig08, ablation_port_threshold)
   pmsb-sim help | --help | -h
 
-  Each command takes only the options its line above names; any other
-  option is an error. One run uses one thread: campaign --jobs N runs
-  cells on N cores. Every run prints the engine that ran on stderr as
-  one 'engine_path,...' line (packet, fluid, hybrid or
-  regional,hot_ports=N with N the switch ports simulated at packet
-  level).
+  Each command takes only the options its line above names, each once
+  but --flow; any other option, or one given twice, is an error. One
+  run uses one thread: campaign --jobs N runs cells on N cores. Every
+  run prints the engine that ran on stderr as one 'engine_path,...'
+  line (packet, fluid, hybrid or regional,hot_ports=N with N the switch
+  ports simulated at packet level).
 
   --engine picks the simulation engine (ENGINE below): 'packet'
   (default, event per packet), 'fluid' (flow-level max-min rates with
@@ -137,10 +137,11 @@ fn main() -> ExitCode {
     }
 }
 
+/// The value of option `key`; [`check_options`] has made sure it is
+/// given at most once.
 fn opt<'a>(options: &'a [(String, String)], key: &str) -> Option<&'a str> {
     options
         .iter()
-        .rev()
         .find(|(k, _)| k == key)
         .map(|(_, v)| v.as_str())
 }
@@ -198,21 +199,27 @@ const COMMON_OPTIONS: [&str; 8] = [
 
 /// Rejects the first option `command` does not take (`accepted`, the
 /// options its help line names), so a misspelt option is an error
-/// rather than silently ignored.
+/// rather than silently ignored, and the first option other than
+/// `--flow` (the one that repeats) given twice, so no value is silently
+/// dropped.
 fn check_options(
     command: &str,
     options: &[(String, String)],
     accepted: &[&str],
 ) -> Result<(), ParseError> {
-    match options
-        .iter()
-        .find(|(k, _)| !accepted.contains(&k.as_str()))
-    {
-        Some((key, _)) => Err(ParseError(format!(
-            "{command}: unexpected argument '--{key}'"
-        ))),
-        None => Ok(()),
+    for (i, (key, _)) in options.iter().enumerate() {
+        if !accepted.contains(&key.as_str()) {
+            return Err(ParseError(format!(
+                "{command}: unexpected argument '--{key}'"
+            )));
+        }
+        if key != "flow" && options[..i].iter().any(|(k, _)| k == key) {
+            return Err(ParseError(format!(
+                "{command}: option '--{key}' given twice (accepted: once)"
+            )));
+        }
     }
+    Ok(())
 }
 
 /// `pmsb-sim campaign NAME [--quick] [--jobs N] [--results DIR] [--quiet]`:
@@ -373,10 +380,7 @@ fn dumbbell(options: &[(String, String)], out: &mut String) -> Result<(), ParseE
     let watch: bool = opt_parse(options, "watch", false)?;
     let mut e = Experiment::dumbbell(senders, queues);
     if let Some(g) = opt(options, "rate-gbps") {
-        let v: u64 = g
-            .parse()
-            .map_err(|_| ParseError(format!("bad --rate-gbps '{g}'")))?;
-        e = e.link_rate_gbps(v);
+        e = e.link_rate_bps(parse_rate_gbps(g)?);
     }
     if let Some(d) = opt(options, "delay-ns") {
         let v: u64 = d

@@ -428,9 +428,9 @@ pub fn parse_rtt_us(s: &str) -> Result<u64, ParseError> {
     })
 }
 
-/// Parses `pmsb-sim profile --rate-gbps`: a link rate in Gbps
-/// (fractions allowed) into whole bits per second, at least 1 and at
-/// most `u64::MAX`.
+/// Parses `--rate-gbps` (`pmsb-sim dumbbell` and `profile`): a link
+/// rate in Gbps (fractions allowed) into whole bits per second, at least
+/// 1 and at most `u64::MAX`.
 ///
 /// # Example
 ///

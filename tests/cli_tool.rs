@@ -86,22 +86,91 @@ fn dumbbell_without_queues_exits_cleanly() {
 
 #[test]
 fn zero_link_rate_exits_cleanly() {
+    // `--rate-gbps` is parsed as `profile` parses it, which takes rates
+    // of at least 1 bps.
     assert_clean_config_error(
         &["dumbbell", "--rate-gbps", "0", "--flow", "0>2:0:1M"],
-        "accepted: a link rate above 0",
+        "bad --rate-gbps '0' (accepted: Gbps from 1e-9",
     );
 }
 
 #[test]
 fn overflowing_link_rates_exit_cleanly() {
-    // 18446744073 Gbps still fits u64 bits per second; 18446744074 does
-    // not. Both used to run to a nonsense result.
-    for gbps in ["18446744073", "18446744074"] {
+    // 18446744073 Gbps still fits u64 bits per second, and the run
+    // rejects it; 18446744074 does not, and the parser rejects it. Both
+    // used to run to a nonsense result.
+    for (gbps, accepted) in [
+        ("18446744073", "accepted: 1..=1000000000 Gbps"),
+        (
+            "18446744074",
+            "bad --rate-gbps '18446744074' (accepted: Gbps",
+        ),
+    ] {
         assert_clean_config_error(
             &["dumbbell", "--rate-gbps", gbps, "--flow", "0>2:0:100K"],
-            "accepted: 1..=1000000000 Gbps",
+            accepted,
         );
     }
+}
+
+/// `dumbbell --rate-gbps` takes the grammar `profile` takes: fractional
+/// Gbps run at that rate, and a rate past `u64` bits per second gets
+/// `profile`'s message.
+#[test]
+fn dumbbell_link_rates_take_fractional_gbps() {
+    let at = |gbps: &str| {
+        let (ok, stdout, stderr) = pmsb_sim(&[
+            "dumbbell",
+            "--rate-gbps",
+            gbps,
+            "--millis",
+            "20",
+            "--flow",
+            "0>2:0:200K",
+        ]);
+        assert!(ok, "--rate-gbps {gbps}: {stderr}");
+        stdout
+    };
+    let slow = at("2.5");
+    assert!(slow.contains("completed_flows,1"), "{slow}");
+    assert_ne!(slow, at("10"), "a 2.5 Gbps link must run slower than 10");
+    assert_clean_config_error(
+        &["dumbbell", "--rate-gbps", "1e30", "--flow", "0>2:0:10K"],
+        "bad --rate-gbps '1e30' (accepted: Gbps from 1e-9 up to 1.8e10)",
+    );
+}
+
+/// An option given twice is an error naming it, not a silent choice of
+/// one value; `--flow` is the one option that repeats.
+#[test]
+fn repeated_options_are_errors() {
+    let twice = |opt: &str| format!("option '--{opt}' given twice");
+    assert_clean_config_error(
+        &["leaf-spine", "--flows", "20", "--flows", "30"],
+        &twice("flows"),
+    );
+    assert_clean_config_error(
+        &["fabric", "--seed", "1", "--flows", "200", "--seed", "2"],
+        &twice("seed"),
+    );
+    assert_campaign_rejected(
+        "repeated-engine",
+        &[
+            "campaign",
+            "hyperscale",
+            "--quick",
+            "--engine",
+            "fluid",
+            "--engine",
+            "hybrid",
+        ],
+        &twice("engine"),
+    );
+    assert_campaign_rejected(
+        "repeated-jobs",
+        &["campaign", "fig02", "--quick", "--jobs", "1", "--jobs", "2"],
+        "option --jobs given twice",
+    );
 }
 
 #[test]

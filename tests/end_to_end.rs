@@ -165,7 +165,7 @@ fn mark_point_is_honoured_per_packet() {
         let mut e = Experiment::dumbbell(4, 1)
             .marking(MarkingConfig::PerQueueStandard { threshold_pkts: 16 })
             .mark_point(point)
-            .link_rate_gbps(1)
+            .link_rate_bps(1_000_000_000)
             .watch_bottleneck(10_000);
         for s in 0..4 {
             e.add_flow(FlowDesc::long_lived(s, 4, 0));
