@@ -185,9 +185,17 @@ impl SchedulerConfig {
         }
     }
 
-    /// Number of queues per port.
+    /// Number of queues per port (the length of [`Self::weights`],
+    /// without building it).
     pub fn num_queues(&self) -> usize {
-        self.weights().len()
+        match self {
+            SchedulerConfig::Fifo => 1,
+            SchedulerConfig::Sp { num_queues } => *num_queues,
+            SchedulerConfig::Wrr { weights }
+            | SchedulerConfig::Dwrr { weights }
+            | SchedulerConfig::Wfq { weights }
+            | SchedulerConfig::SpWfq { weights, .. } => weights.len(),
+        }
     }
 
     /// Short name for reports.
@@ -560,6 +568,7 @@ mod tests {
             let s = cfg.build();
             assert_eq!(s.name(), name);
             assert_eq!(cfg.num_queues(), n);
+            assert_eq!(cfg.weights().len(), n);
             assert_eq!(s.num_queues(), n);
         }
     }

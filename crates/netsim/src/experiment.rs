@@ -465,7 +465,7 @@ impl Experiment {
         if self.link_rate_bps > MAX_LINK_RATE_GBPS * 1_000_000_000 {
             return Err(ConfigError::new(format!(
                 "link rates above {MAX_LINK_RATE_GBPS} Gbps overflow the simulator's rate \
-                 arithmetic (accepted: 1..={MAX_LINK_RATE_GBPS} Gbps)"
+                 arithmetic (accepted: 1 bps up to {MAX_LINK_RATE_GBPS} Gbps)"
             )));
         }
         if self.link_delay_nanos > MAX_LINK_DELAY_NANOS {
@@ -791,7 +791,7 @@ mod tests {
         });
         assert!(err(zero_weight).contains(no_queues));
         assert!(err(Experiment::dumbbell(2, 2).link_rate_bps(0)).contains("a link rate above 0"));
-        let rates = "accepted: 1..=1000000000 Gbps";
+        let rates = "accepted: 1 bps up to 1000000000 Gbps";
         let max_bps = 1_000_000_000 * 1_000_000_000;
         for bps in [max_bps + 1, 18_446_744_073_000_000_000, u64::MAX] {
             assert!(err(Experiment::dumbbell(2, 2).link_rate_bps(bps)).contains(rates));

@@ -83,8 +83,10 @@ impl World {
             let FaultTarget::Switch(s) = ev.target else {
                 unreachable!("validated: buffer faults are switch-wide");
             };
+            // Ports build their queues first, so one that has not
+            // carried a packet yet keeps the new cap too.
             for port in &mut self.switches[s].ports {
-                port.mq.set_cap_bytes(bytes);
+                port.queues_mut(&self.switch_cfgs).mq.set_cap_bytes(bytes);
             }
             return;
         }

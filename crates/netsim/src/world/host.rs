@@ -1,23 +1,25 @@
 //! The endpoint layer: host NICs, sender output processing, and packet
 //! delivery into the transport endpoints.
 
-use pmsb::marking::MarkingScheme;
 use pmsb::MarkPoint;
 use pmsb_metrics::fct::FlowRecord;
-use pmsb_sched::{MultiQueue, SchedItem as _};
+use pmsb_sched::SchedItem as _;
 use pmsb_simcore::{EventQueue, SimDuration, SimTime};
 
 use crate::packet::{Packet, PacketKind};
 use crate::transport::{Receiver as _, Sender as _, SenderOutput, TransportReceiver};
 
 use super::port::PacketPortView;
-use super::{Event, Fate, FlowSlot, LinkAttach, NodeRef, SlotRef, World};
+use super::{Event, Fate, FlowSlot, LinkAttach, NodeRef, PortQueues, SlotRef, World};
 
 /// An endpoint: one NIC queue towards its access switch, plus optional
 /// NIC-level ECN marking.
 pub(super) struct Host {
-    pub(super) nic: MultiQueue<Packet>,
-    pub(super) nic_marker: Option<Box<dyn MarkingScheme>>,
+    /// The NIC's queue and marker, `None` until its first packet; an
+    /// unbuilt NIC is an empty one.
+    pub(super) nic: Option<PortQueues>,
+    /// The host's config, as an index into `World::host_cfgs`.
+    pub(super) cfg: u32,
     pub(super) nic_mark_point: MarkPoint,
     pub(super) nic_busy: bool,
     pub(super) link: Option<LinkAttach>,
@@ -123,13 +125,15 @@ impl World {
     ) {
         pkt.enqueued_at_nanos = now;
         let h = &mut self.hosts[host];
+        let (cfgs, cfg) = (&self.host_cfgs, h.cfg as usize);
+        let PortQueues { mq, marker } = h.nic.get_or_insert_with(|| PortQueues::nic(&cfgs[cfg]));
         // NIC-level ECN (one-queue port), mirroring NS-3's per-device
         // queue discs.
         if h.nic_mark_point == MarkPoint::Enqueue && pkt.ect && !pkt.ce {
-            if let Some(marker) = h.nic_marker.as_mut() {
+            if let Some(marker) = marker.as_mut() {
                 let rate = h.link.map(|l| l.rate_bps).unwrap_or(10_000_000_000);
                 let view = PacketPortView {
-                    mq: &h.nic,
+                    mq,
                     link_rate_bps: rate,
                     pool_bytes: None,
                     sojourn_nanos: None,
@@ -140,7 +144,7 @@ impl World {
                 }
             }
         }
-        let _ = self.hosts[host].nic.enqueue(0, pkt, now);
+        let _ = mq.enqueue(0, pkt, now);
         self.try_transmit_host(host, now, queue);
     }
 
@@ -160,14 +164,18 @@ impl World {
         if h.nic_busy {
             return;
         }
-        let Some((_, mut pkt)) = h.nic.dequeue(now) else {
+        // A NIC without a queue has never held a packet.
+        let Some(PortQueues { mq, marker }) = h.nic.as_mut() else {
+            return;
+        };
+        let Some((_, mut pkt)) = mq.dequeue(now) else {
             return;
         };
         if h.nic_mark_point == MarkPoint::Dequeue && pkt.ect && !pkt.ce {
-            if let Some(marker) = h.nic_marker.as_mut() {
+            if let Some(marker) = marker.as_mut() {
                 let rate = h.link.map(|l| l.rate_bps).unwrap_or(10_000_000_000);
                 let view = PacketPortView {
-                    mq: &h.nic,
+                    mq,
                     link_rate_bps: rate,
                     pool_bytes: None,
                     sojourn_nanos: Some(now.saturating_sub(pkt.enqueued_at_nanos)),

@@ -35,12 +35,14 @@ use types::add_sender_stats;
 use std::collections::HashMap;
 use std::ops::Range;
 
+use pmsb::marking::MarkingScheme;
 use pmsb_metrics::fct::FctRecorder;
 use pmsb_metrics::QuantileSketch;
 use pmsb_sched::{Fifo, MultiQueue};
 use pmsb_simcore::{EventQueue, SimTime, Simulation};
 
 use crate::config::{HostConfig, SwitchConfig, TransportConfig};
+use crate::packet::Packet;
 use crate::slab::{FlowSlab, SlotRef};
 use crate::trace::{PortTrace, TraceConfig};
 use crate::transport::{Sender as _, SenderStats, TransportSender};
@@ -55,6 +57,11 @@ use types::{FlowSlot, LinkAttach, StreamRuntime};
 pub struct World {
     hosts: Vec<Host>,
     switches: Vec<Switch>,
+    /// The distinct configs ports were wired with; a port keeps an
+    /// index here and builds its [`PortQueues`] from it on first use.
+    switch_cfgs: Vec<SwitchConfig>,
+    /// The distinct configs hosts were added with, as `switch_cfgs`.
+    host_cfgs: Vec<HostConfig>,
     transport: TransportConfig,
     trace: TraceConfig,
     flows: Vec<FlowDesc>,
@@ -81,6 +88,8 @@ impl World {
         World {
             hosts: Vec::new(),
             switches: Vec::new(),
+            switch_cfgs: Vec::new(),
+            host_cfgs: Vec::new(),
             transport,
             trace: TraceConfig::off(),
             flows: Vec::new(),
@@ -139,11 +148,13 @@ impl World {
         s
     }
 
-    /// Adds a host; returns its index.
+    /// Adds a host; returns its index. Its NIC queue is built on the
+    /// NIC's first packet.
     pub fn add_host(&mut self, cfg: HostConfig) -> usize {
+        let cfg_idx = intern(&mut self.host_cfgs, &cfg);
         self.hosts.push(Host {
-            nic: MultiQueue::new(Box::new(Fifo::new()), cfg.nic_buffer_bytes),
-            nic_marker: cfg.nic_marking.build(&[1]),
+            nic: None,
+            cfg: cfg_idx,
             nic_mark_point: cfg.nic_mark_point,
             nic_busy: false,
             link: None,
@@ -151,21 +162,23 @@ impl World {
         self.hosts.len() - 1
     }
 
-    /// Adds a switch with no ports yet; returns its index.
+    /// Adds a switch with no ports yet; returns its index. Its route
+    /// table covers the hosts added so far (the builders add hosts
+    /// first), so installing routes does not grow it.
     pub fn add_switch(&mut self) -> usize {
         self.switches.push(Switch {
             ports: Vec::new(),
             pool: crate::buffer::SharedPool::new(crate::buffer::BufferPolicy::Static),
-            routes: crate::routing::RouteTable::new(0),
+            routes: crate::routing::RouteTable::new(self.hosts.len()),
         });
         self.switches.len() - 1
     }
 
-    fn build_port(&self, cfg: &SwitchConfig, link: LinkAttach) -> SwitchPort {
-        let weights = cfg.scheduler.weights();
+    /// A wired port without queues: they are built on its first packet.
+    fn new_port(&mut self, cfg: &SwitchConfig, link: LinkAttach) -> SwitchPort {
         SwitchPort {
-            mq: MultiQueue::with_policy(cfg.scheduler.build(), cfg.port_buffer_policy()),
-            marker: cfg.marking.build(&weights),
+            queues: None,
+            cfg: intern(&mut self.switch_cfgs, cfg),
             mark_point: cfg.mark_point,
             busy: false,
             link,
@@ -213,7 +226,7 @@ impl World {
             rate_bps,
             delay_nanos,
         };
-        let port = self.build_port(cfg, link);
+        let port = self.new_port(cfg, link);
         self.switches[switch].ports.push(port);
         self.pool_attach(switch, cfg, rate_bps);
         port_idx
@@ -243,8 +256,8 @@ impl World {
             rate_bps,
             delay_nanos,
         };
-        let port_a = self.build_port(cfg, link_ab);
-        let port_b = self.build_port(cfg, link_ba);
+        let port_a = self.new_port(cfg, link_ab);
+        let port_b = self.new_port(cfg, link_ba);
         self.switches[a].ports.push(port_a);
         self.switches[b].ports.push(port_b);
         self.pool_attach(a, cfg, rate_bps);
@@ -264,6 +277,8 @@ impl World {
     }
 
     /// Installs the trace configuration (call after wiring, before run).
+    /// Watched ports build their queues here, so a port that never
+    /// carries a packet still samples zero occupancy.
     ///
     /// # Panics
     ///
@@ -271,10 +286,8 @@ impl World {
     pub fn set_trace(&mut self, trace: TraceConfig) {
         for (s, p) in &trace.watch_ports {
             let port = &mut self.switches[*s].ports[*p];
-            port.trace = Some(PortTrace::new(
-                port.mq.num_queues(),
-                trace.throughput_bin_nanos,
-            ));
+            let num_queues = port.queues_mut(&self.switch_cfgs).mq.num_queues();
+            port.trace = Some(PortTrace::new(num_queues, trace.throughput_bin_nanos));
         }
         self.trace = trace;
     }
@@ -428,9 +441,10 @@ impl World {
         // Pre-size the FEL for the in-flight event population: a generous
         // per-flow share plus trace/timer headroom. Streaming runs hold one
         // arrival plus the concurrent flows' events — a flat reserve,
-        // independent of the total flow count. Port and NIC rings are not
-        // pre-sized: a ring grows on its first packets, so memory follows
-        // the ports the traffic uses, not the fabric's port count.
+        // independent of the total flow count. Ports and NICs are not
+        // pre-sized: each builds its queues on its first packet and its
+        // rings grow from there, so memory follows the ports the traffic
+        // uses, not the fabric's port count.
         let queue_capacity = if self.stream.is_some() {
             4096
         } else {
@@ -474,7 +488,7 @@ impl World {
         let mut stats = HashMap::new();
         let mut drops = 0u64;
         for h in &self.hosts {
-            drops += h.nic.dropped_items();
+            drops += h.nic.as_ref().map_or(0, |n| n.mq.dropped_items());
         }
         if self.stream.is_none() {
             for slot in self.slab.values() {
@@ -509,7 +523,7 @@ impl World {
         let mut shared_buffer = None;
         for (si, sw) in self.switches.iter_mut().enumerate() {
             for (pi, port) in sw.ports.iter_mut().enumerate() {
-                drops += port.mq.dropped_items();
+                drops += port.queues.as_ref().map_or(0, |q| q.mq.dropped_items());
                 if let Some(t) = port.trace.take() {
                     traces.insert((si, pi), t);
                 }
@@ -540,6 +554,52 @@ impl World {
     }
 }
 
+/// A port's queueing state: its service queues with their boxed
+/// scheduler, and its marking scheme. Switch ports and host NICs build
+/// it on their first packet, so a port no packet crosses costs only its
+/// link. Building reads no clock and no RNG: an unbuilt port behaves
+/// exactly as an idle built one, and every reader takes it as empty.
+struct PortQueues {
+    mq: MultiQueue<Packet>,
+    marker: Option<Box<dyn MarkingScheme>>,
+}
+
+// Each port builds once, so the builders stay out of line, off the
+// packet path they are called from.
+impl PortQueues {
+    #[cold]
+    #[inline(never)]
+    fn switch_port(cfg: &SwitchConfig) -> Self {
+        PortQueues {
+            mq: MultiQueue::with_policy(cfg.scheduler.build(), cfg.port_buffer_policy()),
+            marker: cfg.marking.build(&cfg.scheduler.weights()),
+        }
+    }
+
+    /// A NIC: one FIFO queue, with NIC-level marking.
+    #[cold]
+    #[inline(never)]
+    fn nic(cfg: &HostConfig) -> Self {
+        PortQueues {
+            mq: MultiQueue::new(Box::new(Fifo::new()), cfg.nic_buffer_bytes),
+            marker: cfg.nic_marking.build(&[1]),
+        }
+    }
+}
+
+/// The index of `cfg` in `cfgs`, appending it when no equal entry is
+/// there yet.
+fn intern<T: PartialEq + Clone>(cfgs: &mut Vec<T>, cfg: &T) -> u32 {
+    let idx = match cfgs.iter().position(|c| c == cfg) {
+        Some(i) => i,
+        None => {
+            cfgs.push(cfg.clone());
+            cfgs.len() - 1
+        }
+    };
+    u32::try_from(idx).expect("config indices fit in u32")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,16 +608,21 @@ mod tests {
     /// `num_senders` sender hosts plus one receiver (the last host) on a
     /// single switch; host NICs mirror the switch marking.
     fn star_world(num_senders: usize, marking: MarkingConfig) -> World {
-        let mut w = World::new(TransportConfig::default());
         let cfg = SwitchConfig {
             scheduler: SchedulerConfig::Dwrr {
                 weights: vec![1, 1],
             },
-            marking: marking.clone(),
+            marking,
             ..SwitchConfig::default()
         };
+        star(num_senders, &cfg)
+    }
+
+    /// As [`star_world`], with every switch port configured per `cfg`.
+    fn star(num_senders: usize, cfg: &SwitchConfig) -> World {
+        let mut w = World::new(TransportConfig::default());
         let host_cfg = HostConfig {
-            nic_marking: marking,
+            nic_marking: cfg.marking.clone(),
             ..HostConfig::default()
         };
         let s_idx = num_senders; // receiver host index
@@ -566,7 +631,7 @@ mod tests {
         }
         let s = w.add_switch();
         for h in 0..=s_idx {
-            let p = w.wire_host(h, s, 10_000_000_000, 5_000, &cfg);
+            let p = w.wire_host(h, s, 10_000_000_000, 5_000, cfg);
             w.set_route(s, h, p..p + 1);
         }
         w
@@ -797,6 +862,111 @@ mod tests {
             run(TransportKind::NewReno),
             "transports must produce different schedules"
         );
+    }
+
+    /// A buffer fault that fires before the switch's ports have seen a
+    /// packet builds them and caps them: the run equals one whose ports
+    /// were configured with that buffer.
+    #[test]
+    fn a_buffer_fault_before_the_first_packet_caps_like_a_configured_buffer() {
+        const CAP: u64 = 6 * 1500;
+        let run = |buffer_bytes: u64, fault_at: Option<u64>| {
+            let cfg = SwitchConfig {
+                marking: MarkingConfig::None,
+                buffer_bytes,
+                ..SwitchConfig::default()
+            };
+            let mut w = star(2, &cfg);
+            if let Some(at) = fault_at {
+                let mut schedule = pmsb_faults::FaultSchedule::new(1);
+                schedule.shrink_buffer(0, at, CAP);
+                w.set_faults(schedule);
+            }
+            w.add_flow(FlowDesc::bulk(0, 2, 0, 300_000));
+            w.add_flow(FlowDesc::bulk(1, 2, 1, 300_000));
+            let res = w.run_until_nanos(200_000_000);
+            let fcts: Vec<(u64, u64)> = res
+                .fct
+                .records()
+                .iter()
+                .map(|r| (r.flow_id, r.end_nanos))
+                .collect();
+            (res.drops, fcts)
+        };
+        let configured = run(CAP, None);
+        assert!(configured.0 > 0, "a 6-packet buffer must tail-drop");
+        assert_eq!(configured.1.len(), 2, "both flows complete");
+        // The first packet reaches the switch after 1.2 us on the wire
+        // and 5 us of propagation.
+        let faulted = run(SwitchConfig::default().buffer_bytes, Some(1_000));
+        assert_eq!(faulted, configured);
+    }
+
+    /// A watched port builds its queues when the trace is installed, so
+    /// a port no packet crosses still samples, and samples zero.
+    #[test]
+    fn a_watched_port_without_traffic_traces_zero_occupancy() {
+        let mut w = star_world(2, MarkingConfig::None);
+        w.set_trace(TraceConfig::watch_port(0, 1, 10_000));
+        w.add_flow(FlowDesc::bulk(0, 2, 0, 1_000_000));
+        let res = w.run_until_nanos(2_000_000);
+        let trace = &res.port_traces[&(0, 1)];
+        assert_eq!(trace.port_occupancy_pkts.len(), 200);
+        assert_eq!(trace.port_occupancy_pkts.peak(), Some(0.0));
+        assert_eq!(trace.queue_occupancy_pkts.len(), 2);
+        assert!(trace.queue_throughput.iter().all(|t| t.total_bytes() == 0));
+    }
+
+    /// One flow across a fat_tree(4) builds the queues of the ports its
+    /// data and ACKs cross and the NICs of its two hosts; every other
+    /// port and NIC stays unbuilt.
+    #[test]
+    fn a_one_flow_run_builds_only_the_ports_on_its_path() {
+        let cfg = SwitchConfig::default();
+        let host_cfg = HostConfig::default();
+        let mut w = crate::topology::fat_tree(
+            4,
+            10_000_000_000,
+            1_000,
+            &cfg,
+            &host_cfg,
+            TransportConfig::default(),
+        );
+        let (src, dst) = (0, 13);
+        w.add_flow(FlowDesc::bulk(src, dst, 0, 200_000));
+        let end = 20_000_000;
+        let mut sim = w.prepare(end);
+        sim.run_until(SimTime::from_nanos(end));
+        let w = &sim.handler;
+        assert_eq!(w.fct.len(), 1, "the flow completes");
+        let hops = |from: usize, to: usize| {
+            let mut s = w.host_switch(from);
+            let mut ports = Vec::new();
+            loop {
+                let p = w.route_port_for(s, to, 0);
+                ports.push((s, p));
+                match w.port_peer(s, p) {
+                    NodeRef::Host(_) => return ports,
+                    NodeRef::Switch(t) => s = t,
+                }
+            }
+        };
+        let mut path = hops(src, dst);
+        path.extend(hops(dst, src));
+        path.sort_unstable();
+        let mut built = Vec::new();
+        for (s, sw) in w.switches.iter().enumerate() {
+            for (p, port) in sw.ports.iter().enumerate() {
+                if port.queues.is_some() {
+                    built.push((s, p));
+                }
+            }
+        }
+        assert_eq!(built, path);
+        let nics: Vec<usize> = (0..w.hosts.len())
+            .filter(|&h| w.hosts[h].nic.is_some())
+            .collect();
+        assert_eq!(nics, vec![src, dst]);
     }
 
     #[test]

@@ -1,26 +1,43 @@
 //! The switch layer: multi-queue ports, ECN marking at enqueue/dequeue,
 //! ECMP forwarding, and trace sampling.
 
-use pmsb::marking::MarkingScheme;
 use pmsb::MarkPoint;
-use pmsb_sched::{MultiQueue, SchedItem as _};
+use pmsb_sched::SchedItem as _;
 use pmsb_simcore::{EventQueue, SimDuration, SimTime};
 
 use crate::buffer::{Admit, SharedPool};
+use crate::config::SwitchConfig;
 use crate::packet::{Packet, MTU_WIRE_BYTES};
 use crate::routing::RouteTable;
 use crate::trace::PortTrace;
 
-use super::{Event, Fate, LinkAttach, NodeRef, World};
+use super::{Event, Fate, LinkAttach, NodeRef, PortQueues, World};
 
-/// One output port: service queues, marking scheme, and the outgoing link.
+/// One output port: the outgoing link, and the service queues and
+/// marking scheme it builds on its first packet.
 pub(super) struct SwitchPort {
-    pub(super) mq: MultiQueue<Packet>,
-    pub(super) marker: Option<Box<dyn MarkingScheme>>,
+    /// `None` until the port's first packet (or a trace or buffer fault
+    /// that reads it); an unbuilt port is an empty one.
+    pub(super) queues: Option<PortQueues>,
+    /// The port's config, as an index into `World::switch_cfgs`.
+    pub(super) cfg: u32,
     pub(super) mark_point: MarkPoint,
     pub(super) busy: bool,
     pub(super) link: LinkAttach,
     pub(super) trace: Option<PortTrace>,
+}
+
+impl SwitchPort {
+    /// The port's queues, built from its config on first use.
+    pub(super) fn queues_mut(&mut self, cfgs: &[SwitchConfig]) -> &mut PortQueues {
+        let cfg = self.cfg as usize;
+        self.queues
+            .get_or_insert_with(|| PortQueues::switch_port(&cfgs[cfg]))
+    }
+
+    fn port_bytes(&self) -> u64 {
+        self.queues.as_ref().map_or(0, |q| q.mq.port_bytes())
+    }
 }
 
 /// A switch: its ports, the shared memory pool they carve their backlog
@@ -55,7 +72,11 @@ impl World {
         if p.busy {
             return;
         }
-        let Some((q, mut pkt)) = p.mq.dequeue(now) else {
+        // A port without queues has never held a packet.
+        let Some(PortQueues { mq, marker }) = p.queues.as_mut() else {
+            return;
+        };
+        let Some((q, mut pkt)) = mq.dequeue(now) else {
             return;
         };
         if pool.is_shared() {
@@ -63,9 +84,9 @@ impl World {
         }
         // Dequeue-point marking (PMSB/TCN early-notification experiments).
         if p.mark_point == MarkPoint::Dequeue && pkt.ect && !pkt.ce {
-            if let Some(marker) = p.marker.as_mut() {
+            if let Some(marker) = marker.as_mut() {
                 let view = SwitchPortView {
-                    mq: &p.mq,
+                    mq,
                     link_rate_bps: p.link.rate_bps,
                     pool_bytes: pool.is_shared().then(|| pool.used_bytes()),
                     sojourn_nanos: Some(now.saturating_sub(pkt.enqueued_at_nanos)),
@@ -145,33 +166,33 @@ impl World {
                 }
             }
         };
+        let marks = &mut self.marks;
+        let Switch { ports, pool, .. } = &mut self.switches[switch];
+        let out = ports[out_port].queues_mut(&self.switch_cfgs);
         // Pool occupancy across all ports of this switch. With a shared
         // pool it is the pool's O(1) book-keeping; under `Static` it is
         // only summed for the per-pool scheme — every other scheme looks
         // at its own port.
-        let pool_occ: u64 = {
-            let sw = &self.switches[switch];
-            if sw.pool.is_shared() {
-                sw.pool.used_bytes()
-            } else {
-                match &sw.ports[out_port].marker {
-                    Some(m) if m.reads_pool() => sw.ports.iter().map(|p| p.mq.port_bytes()).sum(),
-                    _ => 0,
-                }
-            }
+        let pool_occ: u64 = if pool.is_shared() {
+            pool.used_bytes()
+        } else if out.marker.as_ref().is_some_and(|m| m.reads_pool()) {
+            ports.iter().map(SwitchPort::port_bytes).sum()
+        } else {
+            0
         };
-        let marks = &mut self.marks;
-        let Switch { ports, pool, .. } = &mut self.switches[switch];
         let p = &mut ports[out_port];
-        let q = usize::from(pkt.service) % p.mq.num_queues();
+        let Some(PortQueues { mq, marker }) = p.queues.as_mut() else {
+            unreachable!("built above");
+        };
+        let q = usize::from(pkt.service) % mq.num_queues();
         pkt.enqueued_at_nanos = now;
         // Enqueue-point marking: decide on the occupancy the packet meets.
         // Marking runs before admission (the ASIC marks what it accepts;
         // what it rejects never carries a signal anywhere).
         if p.mark_point == MarkPoint::Enqueue && pkt.ect && !pkt.ce {
-            if let Some(marker) = p.marker.as_mut() {
+            if let Some(marker) = marker.as_mut() {
                 let view = SwitchPortView {
-                    mq: &p.mq,
+                    mq,
                     link_rate_bps: p.link.rate_bps,
                     pool_bytes: Some(pool_occ),
                     sojourn_nanos: None,
@@ -188,13 +209,13 @@ impl World {
             // fault-shrunk port cap — in which case the MultiQueue counts
             // the drop and the pool must not book the bytes.
             let wire = pkt.len_bytes();
-            if pool.try_admit(out_port, q, p.mq.queue_bytes(q), wire) == Admit::Ok
-                && p.mq.enqueue(q, pkt, now).is_ok()
+            if pool.try_admit(out_port, q, mq.queue_bytes(q), wire) == Admit::Ok
+                && mq.enqueue(q, pkt, now).is_ok()
             {
                 pool.commit(wire);
             }
         } else {
-            let _ = p.mq.enqueue(q, pkt, now); // drop counted in the MultiQueue
+            let _ = mq.enqueue(q, pkt, now); // drop counted in the MultiQueue
         }
         self.try_transmit_switch(switch, out_port, now, queue);
     }
@@ -202,10 +223,13 @@ impl World {
     pub(super) fn sample_traces(&mut self, now: u64) {
         for sw in &mut self.switches {
             for port in &mut sw.ports {
-                if let Some(tr) = port.trace.as_mut() {
+                // `set_trace` built every watched port.
+                if let (Some(tr), Some(PortQueues { mq, .. })) =
+                    (port.trace.as_mut(), port.queues.as_ref())
+                {
                     let mut total = 0.0;
-                    for q in 0..port.mq.num_queues() {
-                        let pkts = port.mq.queue_bytes(q) as f64 / MTU_WIRE_BYTES as f64;
+                    for q in 0..mq.num_queues() {
+                        let pkts = mq.queue_bytes(q) as f64 / MTU_WIRE_BYTES as f64;
                         tr.queue_occupancy_pkts[q].sample(now, pkts);
                         total += pkts;
                     }

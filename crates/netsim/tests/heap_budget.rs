@@ -5,8 +5,11 @@
 //! the process allocates while it measures. It builds `fat_tree(8)`
 //! and `fat_tree(16)` with the benchmark's switch configuration (PMSB
 //! K=12 over DWRR × 8, host NICs mirroring it), runs each to t = 0, and
-//! bounds the peak of live heap bytes. A flat per-queue ring reserve or
-//! a heap allocation per route would each blow the budget.
+//! bounds the peak of live heap bytes and the allocations made. Ports
+//! and NICs build their queues on their first packet, so a fabric with
+//! no traffic holds its links and routes only: a queue built per port
+//! at wiring, a flat per-queue ring reserve or a heap allocation per
+//! route would each blow the budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -61,7 +64,7 @@ fn building_a_fat_tree_stays_within_its_heap_budget() {
         nic_mark_point: MarkPoint::Enqueue,
         ..HostConfig::default()
     };
-    for (k, budget_mib) in [(8, 4), (16, 24)] {
+    for (k, budget_mib, budget_allocs) in [(8, 1, 600), (16, 6, 3_000)] {
         let base = LIVE.load(Relaxed);
         PEAK.store(base, Relaxed);
         let allocs = ALLOCS.load(Relaxed);
@@ -78,10 +81,11 @@ fn building_a_fat_tree_stays_within_its_heap_budget() {
         let allocs = ALLOCS.load(Relaxed) - allocs;
         let report = format!(
             "fat_tree({k}) peaked at {:.1} MiB of heap in {allocs} allocations \
-             (budget {budget_mib} MiB)",
+             (budget {budget_mib} MiB in {budget_allocs})",
             peak as f64 / MIB as f64
         );
         eprintln!("{report}");
         assert!(peak <= budget_mib * MIB, "{report}");
+        assert!(allocs <= budget_allocs, "{report}");
     }
 }
