@@ -716,7 +716,7 @@ fn write_seed_sensitivity_pivot(out: &mut String, records: &[&Record]) {
 
 /// Everything a finished campaign has to show, as `pmsb-sim campaign`
 /// prints it: per-experiment reports in job order, then every
-/// [`SWEEP_TABLES`] table that has records.
+/// `SWEEP_TABLES` table that has records.
 pub fn campaign_output(result: &CampaignResult) -> String {
     let mut out: String = result.reports().collect();
     for (scenario, title, columns, headlines) in SWEEP_TABLES {

@@ -2,6 +2,7 @@
 //! only asserts, sensitivity ablations for PMSB's two knobs, the RED
 //! baseline, and an alternative (web-search) workload.
 
+use pmsb::MarkPoint;
 use pmsb_metrics::fct::SizeClass;
 use pmsb_netsim::config::{EcnResponse, SchedulerConfig};
 use pmsb_netsim::experiment::{Experiment, FlowDesc, MarkingConfig};
@@ -25,39 +26,18 @@ pub fn ext_per_pool_violation(out: &mut String, quick: bool) -> (f64, f64) {
         "Extension: per-service-pool marking couples unrelated ports",
     );
     let millis = if quick { 15 } else { 50 };
-    let run = |marking: MarkingConfig| -> f64 {
-        let cfg = SwitchConfig {
-            marking: marking.clone(),
-            ..SwitchConfig::default()
-        };
-        let host_cfg = HostConfig {
-            nic_marking: marking,
-            ..HostConfig::default()
-        };
-        let mut w = World::new(TransportConfig::default());
-        // Hosts 0..8 = senders, 9 = receiver A (hot), 10 = receiver B.
-        for _ in 0..11 {
-            w.add_host(host_cfg.clone());
-        }
-        let s = w.add_switch();
-        for h in 0..11 {
-            let p = w.wire_host(h, s, 10_000_000_000, 5_000, &cfg);
-            w.set_route(s, h, p..p + 1);
-        }
-        for sender in 0..8 {
-            w.add_flow(FlowDesc::long_lived(sender, 9, sender % 8));
-        }
-        w.add_flow(FlowDesc::long_lived(8, 10, 0));
-        w.set_trace(pmsb_netsim::trace::TraceConfig::watch_port(0, 10, 100_000));
-        let res = w.run_until_nanos(millis * 1_000_000);
-        let t = &res.port_traces[&(0, 10)];
-        let bins = t.queue_throughput[0].num_bins();
-        t.mean_queue_gbps(0, bins / 4, bins)
-    };
     // The pool threshold matches a single port's standard threshold, as a
     // naive shared-buffer configuration would.
-    let pool = run(MarkingConfig::PerPool { threshold_pkts: 16 });
-    let port = run(MarkingConfig::PerPort { threshold_pkts: 16 });
+    let pool = receiver_b_gbps(
+        MarkingConfig::PerPool { threshold_pkts: 16 },
+        MarkPoint::Enqueue,
+        millis,
+    );
+    let port = receiver_b_gbps(
+        MarkingConfig::PerPort { threshold_pkts: 16 },
+        MarkPoint::Enqueue,
+        millis,
+    );
     outln!(out, "marking,receiver_b_gbps");
     outln!(out, "per-pool,{pool:.2}");
     outln!(out, "per-port,{port:.2}");
@@ -66,6 +46,41 @@ pub fn ext_per_pool_violation(out: &mut String, quick: bool) -> (f64, f64) {
         "# per-pool marking victimizes traffic on an uncongested port"
     );
     (pool, port)
+}
+
+/// Receiver B's throughput, Gbps, on [`ext_per_pool_violation`]'s
+/// one-switch fabric: hosts 0..8 send to receiver A (host 9) on eight
+/// services, host 8 to receiver B (host 10), every port and NIC marking
+/// per `marking` at `point`.
+fn receiver_b_gbps(marking: MarkingConfig, point: MarkPoint, millis: u64) -> f64 {
+    let cfg = SwitchConfig {
+        marking: marking.clone(),
+        mark_point: point,
+        ..SwitchConfig::default()
+    };
+    let host_cfg = HostConfig {
+        nic_marking: marking,
+        nic_mark_point: point,
+        ..HostConfig::default()
+    };
+    let mut w = World::new(TransportConfig::default());
+    for _ in 0..11 {
+        w.add_host(host_cfg.clone());
+    }
+    let s = w.add_switch();
+    for h in 0..11 {
+        let p = w.wire_host(h, s, 10_000_000_000, 5_000, &cfg);
+        w.set_route(s, h, p..p + 1);
+    }
+    for sender in 0..8 {
+        w.add_flow(FlowDesc::long_lived(sender, 9, sender % 8));
+    }
+    w.add_flow(FlowDesc::long_lived(8, 10, 0));
+    w.set_trace(pmsb_netsim::trace::TraceConfig::watch_port(0, 10, 100_000));
+    let res = w.run_until_nanos(millis * 1_000_000);
+    let t = &res.port_traces[&(0, 10)];
+    let bins = t.queue_throughput[0].num_bins();
+    t.mean_queue_gbps(0, bins / 4, bins)
 }
 
 /// Ablation: PMSB's single knob, the port threshold. Sweeps it and
@@ -519,6 +534,19 @@ mod tests {
             "per-pool ({pool:.2}) must victimize receiver B vs per-port ({port:.2})"
         );
         assert!(port > 8.0, "per-port B should run near line rate");
+    }
+
+    /// The pool couples the ports at the dequeue point too: per-pool
+    /// marking there reads the switch's pool, not the departing port.
+    #[test]
+    fn per_pool_couples_ports_at_the_dequeue_point_too() {
+        let gbps = |marking| receiver_b_gbps(marking, MarkPoint::Dequeue, 15);
+        let pool = gbps(MarkingConfig::PerPool { threshold_pkts: 16 });
+        let port = gbps(MarkingConfig::PerPort { threshold_pkts: 16 });
+        assert!(
+            pool < port * 0.75,
+            "per-pool ({pool:.2}) must victimize receiver B vs per-port ({port:.2})"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | Per-service-pool threshold | [`PerPool`] | §II-A discussion |
 //! | MQ-ECN (dynamic per-queue, round-based) | [`MqEcn`] | baseline (NSDI'16) |
 //! | TCN (sojourn time) | [`Tcn`] | baseline (CoNEXT'16) |
-//! | RED probability ramp | [`Red`] | reference [6]; DCTCP is its degenerate config |
+//! | RED probability ramp | [`Red`] | reference \[6\]; DCTCP is its degenerate config |
 //! | **PMSB** (Algorithm 1) | [`Pmsb`] | the contribution |
 //!
 //! [`Capabilities`] reproduces Table I of the paper as queryable data.
@@ -113,13 +113,6 @@ pub trait MarkingScheme: std::fmt::Debug + Send {
     /// Implementations may panic if `queue >= view.num_queues()` or if the
     /// view's queue count does not match the scheme's configured weights.
     fn should_mark(&mut self, view: &dyn PortView, queue: usize) -> MarkDecision;
-
-    /// `true` iff the scheme reads [`PortView::pool_bytes`], letting
-    /// callers skip computing cross-port pool occupancy for the (common)
-    /// schemes that only look at their own port.
-    fn reads_pool(&self) -> bool {
-        false
-    }
 
     /// Short machine-readable scheme name (e.g. `"pmsb"`, `"tcn"`).
     fn name(&self) -> &'static str;

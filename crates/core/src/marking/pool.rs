@@ -49,10 +49,6 @@ impl MarkingScheme for PerPool {
         MarkDecision::from_bool(view.pool_bytes() >= self.threshold_bytes)
     }
 
-    fn reads_pool(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "per-pool"
     }

@@ -4,12 +4,16 @@
 //! ports' queues carve their backlog out of one shared memory pool, and
 //! an admission policy decides which arrivals may take pool space. This
 //! module models that layer *above* the per-port
-//! [`MultiQueue`](pmsb_sched::MultiQueue):
+//! [`MultiQueue`](pmsb_sched::MultiQueue). A port admits through its
+//! switch's pool at arrival and releases its bytes at departure
+//! (`world::port`), so the pool always holds the switch's
+//! buffered bytes — the occupancy the per-pool marking scheme reads, in
+//! O(1), under every policy:
 //!
 //! * [`BufferPolicy::Static`] — today's behaviour and the golden-record
-//!   default: every port keeps its private `buffer_bytes` budget and the
-//!   pool does nothing (a pure pass-through, byte-identical to the
-//!   pre-pool simulator).
+//!   default: the pool counts but admits nothing; every port keeps its
+//!   private `buffer_bytes` cap, byte-identical to the pre-pool
+//!   simulator.
 //! * [`BufferPolicy::DynamicThreshold`] — DT (Choudhury & Hahne), the
 //!   commodity shared-buffer policy: a queue may only grow while its
 //!   occupancy stays below `alpha ×` the *remaining free pool*, so no
@@ -47,8 +51,8 @@ pub const DELAY_DRIVEN_FLOOR_BYTES: u64 = 2 * MTU_WIRE_BYTES;
 /// How a switch's shared memory pool admits arriving packets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BufferPolicy {
-    /// Private per-port buffers, no shared pool (the default; keeps every
-    /// pre-pool golden record byte-identical).
+    /// Private per-port buffers: the pool only counts (the default;
+    /// keeps every pre-pool golden record byte-identical).
     Static,
     /// Dynamic Threshold: queue `q` may grow while
     /// `occ(q) + pkt ≤ alpha × (pool_total − pool_used)`.
@@ -66,8 +70,9 @@ pub enum BufferPolicy {
 }
 
 impl BufferPolicy {
-    /// Whether this policy routes admission through the shared pool
-    /// (`false` only for [`BufferPolicy::Static`]).
+    /// Whether this policy admits through the shared pool (`false` only
+    /// for [`BufferPolicy::Static`], whose pool only counts).
+    #[inline]
     pub fn is_shared(&self) -> bool {
         !matches!(self, BufferPolicy::Static)
     }
@@ -212,18 +217,19 @@ impl SharedPool {
         }
     }
 
-    /// Grows the pool by one port's budget. Ports must attach in port-
-    /// index order (the wiring order), so the drain-estimator layout
-    /// matches the switch's port numbering. The first attach fixes the
-    /// pool's policy (switches are built unconfigured, before any port
-    /// config is known); mixing policies on one switch is unsupported.
+    /// Grows the pool by one port's budget and returns the port's index
+    /// in the pool, which its admissions and releases name. On a switch
+    /// ports attach in port-index order (the wiring order), so the index
+    /// is the port's. The first attach fixes the pool's policy (switches
+    /// are built unconfigured, before any port config is known); mixing
+    /// policies on one switch is unsupported.
     pub fn attach_port(
         &mut self,
         policy: BufferPolicy,
         port_bytes: u64,
         num_queues: usize,
         link_rate_bps: u64,
-    ) {
+    ) -> usize {
         if self.drain_offset.is_empty() {
             self.policy = policy;
         } else {
@@ -235,10 +241,13 @@ impl SharedPool {
             self.drains
                 .extend((0..num_queues).map(|_| DrainEstimator::new(link_rate_bps)));
         }
+        self.drain_offset.len() - 1
     }
 
     /// Whether this pool owns admission (`false` for
-    /// [`BufferPolicy::Static`], where ports keep private buffers).
+    /// [`BufferPolicy::Static`], where ports keep private buffers and the
+    /// pool only counts).
+    #[inline]
     pub fn is_shared(&self) -> bool {
         self.policy.is_shared()
     }
@@ -254,6 +263,7 @@ impl SharedPool {
     }
 
     /// Bytes currently admitted across all ports of the switch.
+    #[inline]
     pub fn used_bytes(&self) -> u64 {
         self.used_bytes
     }
@@ -273,14 +283,19 @@ impl SharedPool {
     /// counted here; an [`Admit::Ok`] takes effect only at
     /// [`SharedPool::commit`] (so a packet the per-port queue still
     /// refuses — e.g. under a fault-shrunk cap — never leaks pool space).
+    /// A [`BufferPolicy::Static`] pool admits everything: the port's own
+    /// cap decides.
+    #[inline]
     pub fn try_admit(&mut self, port: usize, q: usize, queue_bytes: u64, bytes: u64) -> Admit {
-        debug_assert!(self.is_shared(), "static pools never admit");
+        if !self.is_shared() {
+            return Admit::Ok;
+        }
         if self.used_bytes + bytes > self.total_bytes {
             self.shared_drops += 1;
             return Admit::PoolFull;
         }
         let within_cap = match self.policy {
-            BufferPolicy::Static => true,
+            BufferPolicy::Static => unreachable!("a static pool admits above"),
             BufferPolicy::DynamicThreshold { alpha } => {
                 let free = (self.total_bytes - self.used_bytes) as f64;
                 (queue_bytes + bytes) as f64 <= alpha * free
@@ -298,7 +313,8 @@ impl SharedPool {
         Admit::Ok
     }
 
-    /// Books an admitted packet's bytes into the pool.
+    /// Books an admitted (and enqueued) packet's bytes into the pool.
+    #[inline]
     pub fn commit(&mut self, bytes: u64) {
         self.used_bytes += bytes;
         self.high_water_bytes = self.high_water_bytes.max(self.used_bytes);
@@ -306,6 +322,7 @@ impl SharedPool {
 
     /// Releases a departing packet's bytes and feeds the queue's drain
     /// estimator (delay-driven only).
+    #[inline]
     pub fn on_dequeue(&mut self, port: usize, q: usize, bytes: u64, now_nanos: u64) {
         debug_assert!(self.used_bytes >= bytes, "pool accounting underflow");
         self.used_bytes -= bytes;
@@ -376,11 +393,19 @@ mod tests {
     }
 
     #[test]
-    fn static_pools_are_pass_through() {
-        let pool = pool_with_ports(BufferPolicy::Static, 4, 1000);
+    fn static_pools_count_and_admit_everything() {
+        let mut pool = pool_with_ports(BufferPolicy::Static, 4, 1000);
         assert!(!pool.is_shared());
         assert_eq!(pool.total_bytes(), 4000);
-        assert_eq!(pool.used_bytes(), 0);
+        for port in 0..4 {
+            // Past the pool's total: only a port's own cap refuses.
+            assert_eq!(pool.try_admit(port, 0, 3000, 1500), Admit::Ok);
+            pool.commit(1500);
+        }
+        assert_eq!(pool.used_bytes(), 6000);
+        pool.on_dequeue(2, 0, 1500, 10);
+        assert_eq!(pool.used_bytes(), 4500);
+        assert_eq!(pool.shared_drops(), 0);
     }
 
     #[test]

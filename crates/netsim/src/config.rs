@@ -2,7 +2,7 @@
 
 use pmsb::marking::{MarkingScheme, MqEcn, PerPool, PerPort, PerQueue, Pmsb, Red, Tcn};
 use pmsb::MarkPoint;
-use pmsb_sched::{BufferPolicy, Dwrr, Fifo, HierSpWfq, Scheduler, StrictPriority, Wfq, Wrr};
+use pmsb_sched::{Dwrr, Fifo, HierSpWfq, Scheduler, StrictPriority, Wfq, Wrr};
 
 use crate::packet::MTU_WIRE_BYTES;
 
@@ -51,7 +51,7 @@ pub enum MarkingConfig {
         /// scheduler weights (Eq. 6).
         port_threshold_pkts: u64,
     },
-    /// Per-queue RED with a linear probability ramp (reference [6]).
+    /// Per-queue RED with a linear probability ramp (reference \[6\]).
     Red {
         /// Lower threshold in packets (no marking below).
         min_pkts: u64,
@@ -229,23 +229,6 @@ pub struct SwitchConfig {
     /// private per-port buffers (the default) or a shared pool with
     /// Dynamic-Threshold or delay-driven admission.
     pub buffer: crate::buffer::BufferPolicy,
-}
-
-impl SwitchConfig {
-    /// The per-port [`pmsb_sched`] buffer policy this configuration
-    /// implies. Under [`crate::buffer::BufferPolicy::Static`] the port
-    /// keeps its private tail-drop cap; under the shared policies the
-    /// per-port cap is lifted and the switch's [`crate::buffer::SharedPool`]
-    /// owns every admission decision instead.
-    pub fn port_buffer_policy(&self) -> BufferPolicy {
-        BufferPolicy::SharedStatic {
-            cap_bytes: if self.buffer.is_shared() {
-                u64::MAX
-            } else {
-                self.buffer_bytes
-            },
-        }
-    }
 }
 
 impl Default for SwitchConfig {
@@ -648,22 +631,5 @@ mod tests {
         assert_eq!(s.mark_point, MarkPoint::Enqueue);
         assert!(s.buffer_bytes > 0);
         assert_eq!(s.buffer, crate::buffer::BufferPolicy::Static);
-        assert_eq!(
-            s.port_buffer_policy(),
-            BufferPolicy::SharedStatic {
-                cap_bytes: s.buffer_bytes
-            }
-        );
-        let shared = SwitchConfig {
-            buffer: crate::buffer::BufferPolicy::DynamicThreshold { alpha: 1.0 },
-            ..SwitchConfig::default()
-        };
-        assert_eq!(
-            shared.port_buffer_policy(),
-            BufferPolicy::SharedStatic {
-                cap_bytes: u64::MAX
-            },
-            "shared policies lift the per-port cap; the pool admits instead"
-        );
     }
 }

@@ -6,13 +6,17 @@
 //! selective blindness, DWRR interleaving. The hybrid engine recovers
 //! that by running a short, deterministic packet simulation of just the
 //! saturated port: queues pre-filled to the marking onset, one MTU
-//! packet stream per flow at its allocated (bucket-quantized) rate, the
-//! real `MultiQueue`/`Scheduler`/`MarkingScheme` objects doing the
-//! work. Two measurements come back:
+//! packet stream per active queue at its allocated (bucket-quantized)
+//! rate, and the packet engine's own [`Port`] — the configured
+//! scheduler and marking scheme at the configured mark point — doing
+//! the work. Two measurements come back:
 //!
-//! * per-queue **mark eligibility** — the fraction of a queue's
-//!   arrivals the scheme marked while the port sat at its operating
-//!   point (selective blindness shows up here as eligibility ≈ 0),
+//! * per-queue **mark eligibility** — the fraction of a queue's marking
+//!   decisions that marked while the port sat at its operating point
+//!   (selective blindness shows up here as eligibility ≈ 0). A port
+//!   decides once per packet, at its mark point: the denominator counts
+//!   a queue's arrivals at the enqueue point and its departures at the
+//!   dequeue point,
 //! * the **mean port occupancy**, which replaces the closed-form onset
 //!   in the queue-delay term of the FCT.
 //!
@@ -29,13 +33,13 @@
 
 use std::collections::HashMap;
 
-use pmsb::marking::MarkingScheme;
 use pmsb::MarkPoint;
-use pmsb_sched::{MultiQueue, SchedItem};
+use pmsb_sched::SchedItem;
 use pmsb_simcore::{EventQueue, SimTime};
 
-use crate::config::{MarkingConfig, SchedulerConfig};
+use crate::config::SwitchConfig;
 use crate::packet::MTU_WIRE_BYTES;
+use crate::world::port::{Port, PortItem};
 
 /// Rate-quantization buckets per link rate. Coarse on purpose: marking
 /// eligibility moves slowly with the rate split, and every extra bucket
@@ -80,8 +84,9 @@ impl PortCal {
     }
 }
 
-/// A fixed-size MTU packet in the micro-sim.
-#[derive(Debug)]
+/// A fixed-size MTU packet in the micro-sim. It is ECN-capable, and the
+/// port decides on it once, at its mark point, so it needs no CE bit.
+#[derive(Debug, Default)]
 struct MicroPkt {
     enqueued_at_nanos: u64,
 }
@@ -92,14 +97,23 @@ impl SchedItem for MicroPkt {
     }
 }
 
+impl PortItem for MicroPkt {
+    fn markable(&self) -> bool {
+        true
+    }
+    fn mark(&mut self) {}
+    fn enqueued_at_nanos(&self) -> u64 {
+        self.enqueued_at_nanos
+    }
+    fn set_enqueued_at_nanos(&mut self, now_nanos: u64) {
+        self.enqueued_at_nanos = now_nanos;
+    }
+}
+
 enum MicroEv {
     Arrival { stream: usize },
     TxDone,
 }
-
-/// The micro-sim's marking view: the shared packet-port adapter with
-/// the port as its own pool.
-type MicroView<'a> = crate::world::port::PacketPortView<'a, MicroPkt>;
 
 /// Memoized micro-sim calibrations for one switch-port configuration.
 ///
@@ -107,10 +121,8 @@ type MicroView<'a> = crate::world::port::PacketPortView<'a, MicroPkt>;
 /// path (one lookup per saturated link per solve) then costs one slice
 /// hash — no allocation, no `PortCal` clone.
 pub(super) struct MicroCache {
-    marking: MarkingConfig,
-    scheduler: SchedulerConfig,
-    mark_point: MarkPoint,
-    buffer_bytes: u64,
+    /// The switch ports' config: every micro-sim port is one of them.
+    cfg: SwitchConfig,
     link_rate_bps: u64,
     map: HashMap<Vec<MicroStream>, u32>,
     /// Closed-form fallback entries, keyed by onset.
@@ -119,18 +131,9 @@ pub(super) struct MicroCache {
 }
 
 impl MicroCache {
-    pub(super) fn new(
-        marking: MarkingConfig,
-        scheduler: SchedulerConfig,
-        mark_point: MarkPoint,
-        buffer_bytes: u64,
-        link_rate_bps: u64,
-    ) -> Self {
+    pub(super) fn new(cfg: SwitchConfig, link_rate_bps: u64) -> Self {
         MicroCache {
-            marking,
-            scheduler,
-            mark_point,
-            buffer_bytes,
+            cfg,
             link_rate_bps,
             map: HashMap::new(),
             closed: HashMap::new(),
@@ -144,7 +147,7 @@ impl MicroCache {
     }
 
     fn closed_form_idx(&mut self, onset_bytes: u64) -> u32 {
-        let nq = self.scheduler.num_queues();
+        let nq = self.cfg.scheduler.num_queues();
         *self.closed.entry(onset_bytes).or_insert_with(|| {
             self.cals.push(PortCal::closed_form(nq, onset_bytes));
             (self.cals.len() - 1) as u32
@@ -164,15 +167,7 @@ impl MicroCache {
         if self.map.len() >= CACHE_CAP {
             return self.closed_form_idx(onset_bytes);
         }
-        let cal = run_micro(
-            &self.marking,
-            &self.scheduler,
-            self.mark_point,
-            self.buffer_bytes,
-            self.link_rate_bps,
-            mix,
-            onset_bytes,
-        );
+        let cal = run_micro(&self.cfg, self.link_rate_bps, mix, onset_bytes);
         self.cals.push(cal);
         let idx = (self.cals.len() - 1) as u32;
         self.map.insert(mix.to_vec(), idx);
@@ -182,18 +177,13 @@ impl MicroCache {
 
 /// Runs one deterministic port calibration; see the module docs.
 fn run_micro(
-    marking: &MarkingConfig,
-    scheduler: &SchedulerConfig,
-    mark_point: MarkPoint,
-    buffer_bytes: u64,
+    cfg: &SwitchConfig,
     link_rate_bps: u64,
     mix: &[MicroStream],
     onset_bytes: u64,
 ) -> PortCal {
-    let weights = scheduler.weights();
-    let nq = weights.len();
-    let mut mq: MultiQueue<MicroPkt> = MultiQueue::new(scheduler.build(), buffer_bytes);
-    let mut marker: Option<Box<dyn MarkingScheme>> = marking.build(&weights);
+    let nq = cfg.scheduler.num_queues();
+    let mut port: Port<MicroPkt> = Port::switch(cfg, link_rate_bps, 0);
     let pkt = MTU_WIRE_BYTES;
     let ser_nanos = (pkt * 8_000_000_000) / link_rate_bps.max(1);
 
@@ -206,13 +196,7 @@ fn run_micro(
     let prefill_pkts = onset_bytes / pkt + 4;
     for i in 0..prefill_pkts {
         let q = active[(i % active.len() as u64) as usize] as usize;
-        let _ = mq.enqueue(
-            q,
-            MicroPkt {
-                enqueued_at_nanos: 0,
-            },
-            0,
-        );
+        port.prefill(q, MicroPkt::default());
     }
 
     // Per-stream arrival periods from the bucket-centre rates, scaled so
@@ -234,10 +218,12 @@ fn run_micro(
         queue.push(SimTime::from_nanos(offset), MicroEv::Arrival { stream: i });
     }
 
-    let mut arrivals_by_q = vec![0u64; nq];
+    // Marking decisions and marks per queue, counted at the port's mark
+    // point only.
+    let at_enqueue = cfg.mark_point == MarkPoint::Enqueue;
+    let mut decisions_by_q = vec![0u64; nq];
     let mut marks_by_q = vec![0u64; nq];
     let mut arrivals_seen = 0u64;
-    let mut busy = false;
     let mut measuring = false;
     let mut occ_integral: u128 = 0;
     let mut measure_start = 0u64;
@@ -246,9 +232,10 @@ fn run_micro(
     while let Some((at, ev)) = queue.pop() {
         let now = at.as_nanos();
         if measuring {
-            occ_integral += mq.port_bytes() as u128 * (now - last_t) as u128;
+            occ_integral += port.mq().port_bytes() as u128 * (now - last_t) as u128;
         }
         last_t = now;
+        let mut next_arrival = None;
         match ev {
             MicroEv::Arrival { stream } => {
                 arrivals_seen += 1;
@@ -257,94 +244,34 @@ fn run_micro(
                     measure_start = now;
                     occ_integral = 0;
                 }
-                let s = mix[stream];
-                let q = s.queue as usize % nq;
-                let mut marked = false;
-                if mark_point == MarkPoint::Enqueue {
-                    if let Some(m) = marker.as_mut() {
-                        let view = MicroView {
-                            mq: &mq,
-                            link_rate_bps,
-                            pool_bytes: None,
-                            sojourn_nanos: None,
-                        };
-                        marked = m.should_mark(&view, q).is_mark();
-                    }
-                }
-                if measuring {
-                    arrivals_by_q[q] += 1;
-                    if marked {
-                        marks_by_q[q] += 1;
-                    }
-                }
-                let _ = mq.enqueue(
-                    q,
-                    MicroPkt {
-                        enqueued_at_nanos: now,
-                    },
-                    now,
-                );
-                if !busy {
-                    if let Some((dq, dp)) = mq.dequeue(now) {
-                        if mark_point == MarkPoint::Dequeue {
-                            // Dequeue marking decides per departure; count
-                            // departures as the eligibility denominator.
-                            if let Some(m) = marker.as_mut() {
-                                let view = MicroView {
-                                    mq: &mq,
-                                    link_rate_bps,
-                                    pool_bytes: None,
-                                    sojourn_nanos: Some(now.saturating_sub(dp.enqueued_at_nanos)),
-                                };
-                                let marked = m.should_mark(&view, dq).is_mark();
-                                if measuring {
-                                    arrivals_by_q[dq] += 1;
-                                    if marked {
-                                        marks_by_q[dq] += 1;
-                                    }
-                                }
-                            }
-                        }
-                        busy = true;
-                        queue.push(SimTime::from_nanos(now + ser_nanos), MicroEv::TxDone);
-                    }
+                let q = usize::from(mix[stream].queue) % nq;
+                let marked = port.arrive(q, MicroPkt::default(), now, None);
+                if measuring && at_enqueue {
+                    decisions_by_q[q] += 1;
+                    marks_by_q[q] += u64::from(marked);
                 }
                 if arrivals_seen < TOTAL_ARRIVALS {
-                    queue.push(
-                        SimTime::from_nanos(now + periods[stream]),
-                        MicroEv::Arrival { stream },
-                    );
+                    next_arrival = Some((now + periods[stream], stream));
                 }
             }
             MicroEv::TxDone => {
-                busy = false;
+                port.finish();
                 // Stop once the arrival phase is over; the measurement
                 // window closes with the last processed event.
                 if arrivals_seen >= TOTAL_ARRIVALS {
                     break;
                 }
-                if let Some((dq, dp)) = mq.dequeue(now) {
-                    if mark_point == MarkPoint::Dequeue {
-                        if let Some(m) = marker.as_mut() {
-                            let view = MicroView {
-                                mq: &mq,
-                                link_rate_bps,
-                                pool_bytes: None,
-                                sojourn_nanos: Some(now.saturating_sub(dp.enqueued_at_nanos)),
-                            };
-                            let marked = m.should_mark(&view, dq).is_mark();
-                            if measuring {
-                                arrivals_by_q[dq] += 1;
-                                if marked {
-                                    marks_by_q[dq] += 1;
-                                }
-                            }
-                        }
-                    }
-                    busy = true;
-                    queue.push(SimTime::from_nanos(now + ser_nanos), MicroEv::TxDone);
-                }
             }
+        }
+        if let Some((q, _, marked)) = port.depart(now, None) {
+            if measuring && !at_enqueue {
+                decisions_by_q[q] += 1;
+                marks_by_q[q] += u64::from(marked);
+            }
+            queue.push(SimTime::from_nanos(now + ser_nanos), MicroEv::TxDone);
+        }
+        if let Some((at, stream)) = next_arrival {
+            queue.push(SimTime::from_nanos(at), MicroEv::Arrival { stream });
         }
     }
 
@@ -354,7 +281,7 @@ fn run_micro(
         .map(|q| {
             match marks_by_q[q]
                 .saturating_mul(1_000_000)
-                .checked_div(arrivals_by_q[q])
+                .checked_div(decisions_by_q[q])
             {
                 Some(ppm) => ppm.min(1_000_000) as u32,
                 None => 0,
@@ -370,6 +297,7 @@ fn run_micro(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{MarkingConfig, SchedulerConfig};
 
     fn mix(entries: &[(u16, u8)]) -> Vec<MicroStream> {
         let mut v: Vec<MicroStream> = entries
@@ -381,31 +309,42 @@ mod tests {
     }
 
     fn cache(marking: MarkingConfig) -> MicroCache {
-        MicroCache::new(
-            marking,
-            SchedulerConfig::Dwrr {
-                weights: vec![1; 8],
-            },
-            MarkPoint::Enqueue,
-            2 * 1024 * 1024,
-            10_000_000_000,
-        )
+        cache_at(marking, MarkPoint::Enqueue)
     }
 
+    /// Eight equal DWRR queues behind `marking` at `mark_point`, on a
+    /// 2 MB, 10 Gbps port.
+    fn cache_at(marking: MarkingConfig, mark_point: MarkPoint) -> MicroCache {
+        let cfg = SwitchConfig {
+            scheduler: SchedulerConfig::Dwrr {
+                weights: vec![1; 8],
+            },
+            marking,
+            mark_point,
+            buffer_bytes: 2 * 1024 * 1024,
+            ..SwitchConfig::default()
+        };
+        MicroCache::new(cfg, 10_000_000_000)
+    }
+
+    /// A port held above a per-port threshold marks every packet of
+    /// every queue, at either mark point: each packet meets one decision.
     #[test]
     fn saturated_per_port_marks_every_queue() {
-        let mut c = cache(MarkingConfig::PerPort { threshold_pkts: 12 });
-        let m = mix(&[(0, 2), (1, 2), (2, 2), (3, 2)]);
-        let idx = c.calibrate(&m, 12 * MTU_WIRE_BYTES);
-        let cal = c.cal(idx).clone();
-        for q in 0..4 {
-            assert!(
-                cal.elig_ppm[q] > 900_000,
-                "queue {q} eligibility {} too low",
-                cal.elig_ppm[q]
-            );
+        for point in [MarkPoint::Enqueue, MarkPoint::Dequeue] {
+            let mut c = cache_at(MarkingConfig::PerPort { threshold_pkts: 12 }, point);
+            let m = mix(&[(0, 2), (1, 2), (2, 2), (3, 2)]);
+            let idx = c.calibrate(&m, 12 * MTU_WIRE_BYTES);
+            let cal = c.cal(idx).clone();
+            for q in 0..4 {
+                assert!(
+                    cal.elig_ppm[q] > 900_000,
+                    "queue {q} eligibility {} too low at {point}",
+                    cal.elig_ppm[q]
+                );
+            }
+            assert!(cal.mean_occ_bytes >= 12 * MTU_WIRE_BYTES);
         }
-        assert!(cal.mean_occ_bytes >= 12 * MTU_WIRE_BYTES);
     }
 
     #[test]

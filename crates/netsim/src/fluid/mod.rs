@@ -5,23 +5,23 @@
 //! wall-clock. This module trades per-packet fidelity for a flow-level
 //! model (DESIGN.md §11) built from three deterministic pieces:
 //!
-//! 1. **Max-min rate solve** ([`solver`]): between population changes,
+//! 1. **Max-min rate solve** (`solver`): between population changes,
 //!    every active flow runs at its max-min fair share over the links
 //!    of its (ECMP-exact) path — integer water-filling with fixed
 //!    iteration order, so rates are byte-stable across runs.
-//! 2. **Steady-state marking** ([`onset`]): each saturated link holds a
+//! 2. **Steady-state marking** (`onset`): each saturated link holds a
 //!    standing queue at the marking onset `K*`, probed through the real
 //!    [`MarkingScheme`](pmsb::marking::MarkingScheme) objects; flows
 //!    accumulate marks at the rate the DCTCP (`p ≈ √(2/W)`) or NewReno
 //!    (`p ≈ 3/2W²`) steady-state response curve demands at their
 //!    allocated window.
-//! 3. **Hybrid calibration** ([`microsim`]): the hybrid engine replaces
+//! 3. **Hybrid calibration** (`microsim`): the hybrid engine replaces
 //!    the closed-form marking of saturated *switch* ports with short
-//!    per-port packet micro-simulations running the real scheduler and
-//!    marking scheme, recovering per-queue effects (PMSB's selective
+//!    per-port packet micro-simulations of the packet engine's own port
+//!    (real scheduler, real marking scheme), recovering per-queue effects (PMSB's selective
 //!    blindness, per-queue vs per-port thresholds) the fluid closed
 //!    form cannot see.
-//! 4. **Regional embedding** ([`region`]): the regional engine goes one
+//! 4. **Regional embedding** (`region`): the regional engine goes one
 //!    step further and simulates a *hot set* of switch ports at full
 //!    packet level inside the fluid run — real scheduler, real marking
 //!    objects, real shared-buffer pool, real PMSB(e) ACK filter — with
@@ -276,13 +276,7 @@ impl<'w> Engine<'w> {
             e.link_rate_bps,
             e.host_cfg.nic_buffer_bytes,
         );
-        let micro = MicroCache::new(
-            e.switch_cfg.marking.clone(),
-            e.switch_cfg.scheduler.clone(),
-            e.switch_cfg.mark_point,
-            e.switch_cfg.buffer_bytes,
-            e.link_rate_bps,
-        );
+        let micro = MicroCache::new(e.switch_cfg.clone(), e.link_rate_bps);
         Engine {
             switch_base,
             link_rate_bps: e.link_rate_bps,
@@ -929,6 +923,24 @@ mod tests {
             assert!(fct > 1_000_000, "FCT {fct} too fast for a shared link");
             assert!(fct < 10_000_000, "FCT {fct} too slow");
         }
+    }
+
+    /// An application cap at or above the line rate constrains nothing:
+    /// a lone 10 MB flow capped at 20 or 10 Gbps on 10 Gbps links
+    /// finishes when the uncapped flow does, not at twice the line rate.
+    #[test]
+    fn an_app_cap_above_the_line_rate_caps_nothing() {
+        let fct = |cap_bps: Option<u64>| {
+            let mut e = Experiment::dumbbell(2, 1).engine(EngineKind::Fluid);
+            let flow = FlowDesc::bulk(0, 2, 0, 10_000_000);
+            e.add_flow(cap_bps.map_or(flow, |c| flow.with_app_rate_bps(c)));
+            let res = e.run_for_millis(100);
+            res.fct.records()[0].fct_nanos()
+        };
+        let uncapped = fct(None);
+        assert!(uncapped > 8_000_000, "10 MB at 10 Gbps: {uncapped} ns");
+        assert_eq!(fct(Some(20_000_000_000)), uncapped);
+        assert_eq!(fct(Some(10_000_000_000)), uncapped);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! A small *hot set* of switch ports — flagged by a deterministic
 //! first-pass fluid solve, or named explicitly — is simulated with the
-//! real machinery: the configured scheduler inside a real
-//! [`MultiQueue`], the real [`MarkingScheme`] objects at the configured
-//! mark point, the real [`SharedPool`] admission, and the real PMSB(e)
-//! [`SelectiveBlindness`] ACK rule. Everything else stays fluid.
+//! packet engine's own [`Port`]: the configured scheduler, marking
+//! scheme and mark point, admitting through a real [`SharedPool`] —
+//! plus the real PMSB(e) [`SelectiveBlindness`] ACK rule. Everything
+//! else stays fluid.
 //!
 //! **Boundary adapters.** Fluid → packet: each flow crossing a hot port
 //! runs one MTU-paced ghost-arrival chain per hot hop, paced at the
@@ -29,16 +29,14 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use pmsb::endpoint::SelectiveBlindness;
-use pmsb::marking::MarkingScheme;
-use pmsb::MarkPoint;
-use pmsb_sched::{MultiQueue, SchedItem};
+use pmsb_sched::SchedItem;
 
-use crate::buffer::{Admit, SharedPool};
+use crate::buffer::SharedPool;
 use crate::config::TransportKind;
 use crate::experiment::Experiment;
 use crate::packet::MTU_WIRE_BYTES;
 use crate::slab::FlowSlab;
-use crate::world::port::PacketPortView;
+use crate::world::port::{Port, PortItem};
 use crate::world::World;
 
 /// Floor of the per-flow region rate: a stalled flow keeps probing at
@@ -74,26 +72,19 @@ impl SchedItem for RegionPkt {
     }
 }
 
-/// One hot port: the real per-port machinery, minus the wire.
-struct RegionPort {
-    mq: MultiQueue<RegionPkt>,
-    marker: Option<Box<dyn MarkingScheme>>,
-    mark_point: MarkPoint,
-    busy: bool,
-    link_rate_bps: u64,
-    /// Index into [`PacketRegion::pools`].
-    pool: u32,
-    /// This port's index within its pool's attach order.
-    pool_port: u32,
-}
-
-/// One switch's shared memory pool, spanning its hot ports only (ports
-/// outside the region hold fluid standing queues that never contend for
-/// pool space — the documented approximation of DESIGN.md §13).
-struct RegionPool {
-    pool: SharedPool,
-    /// Indices into [`PacketRegion::ports`] attached to this pool.
-    ports: Vec<u32>,
+impl PortItem for RegionPkt {
+    fn markable(&self) -> bool {
+        !self.ce
+    }
+    fn mark(&mut self) {
+        self.ce = true;
+    }
+    fn enqueued_at_nanos(&self) -> u64 {
+        self.enqueued_at_nanos
+    }
+    fn set_enqueued_at_nanos(&mut self, now_nanos: u64) {
+        self.enqueued_at_nanos = now_nanos;
+    }
 }
 
 /// One flow with at least one hot hop: its ghost pacers and its
@@ -144,8 +135,15 @@ type PktEvent = (u64, u64, u8, u64, u32);
 
 /// The embedded packet region. See the module docs for the model.
 pub(super) struct PacketRegion {
-    ports: Vec<RegionPort>,
-    pools: Vec<RegionPool>,
+    /// The hot ports, each a switch port of the configured kind.
+    ports: Vec<Port<RegionPkt>>,
+    /// One pool per switch with hot ports, spanning its hot ports only
+    /// (ports outside the region hold fluid standing queues that never
+    /// contend for pool space — the documented approximation of
+    /// DESIGN.md §13).
+    pools: Vec<SharedPool>,
+    /// Hot port → index into `pools`.
+    pool_of: Vec<u32>,
     /// Link id → index into `ports` (`u32::MAX` = not hot).
     link_to_port: Vec<u32>,
     /// Flows with hot hops, found by flow id. Events name flows by id,
@@ -188,9 +186,9 @@ impl PacketRegion {
         hot.sort_unstable();
         hot.dedup();
         let cfg = &e.switch_cfg;
-        let weights = cfg.scheduler.weights();
         let mut ports = Vec::with_capacity(hot.len());
-        let mut pools: Vec<RegionPool> = Vec::new();
+        let mut pools: Vec<SharedPool> = Vec::new();
+        let mut pool_of = Vec::with_capacity(hot.len());
         let mut link_to_port = vec![u32::MAX; num_links];
         let mut pool_of_switch: BTreeMap<usize, u32> = BTreeMap::new();
         for &(s, p) in &hot {
@@ -205,36 +203,24 @@ impl PacketRegion {
                 world.num_ports(s)
             );
             let pool_idx = *pool_of_switch.entry(s).or_insert_with(|| {
-                pools.push(RegionPool {
-                    pool: SharedPool::new(cfg.buffer),
-                    ports: Vec::new(),
-                });
+                pools.push(SharedPool::new(cfg.buffer));
                 (pools.len() - 1) as u32
             });
-            let pool = &mut pools[pool_idx as usize];
-            let pool_port = pool.ports.len() as u32;
-            pool.pool.attach_port(
+            let pool_port = pools[pool_idx as usize].attach_port(
                 cfg.buffer,
                 cfg.buffer_bytes,
                 cfg.scheduler.num_queues(),
                 e.link_rate_bps,
             );
-            pool.ports.push(ports.len() as u32);
+            pool_of.push(pool_idx);
             link_to_port[(switch_base[s] + p as u32) as usize] = ports.len() as u32;
-            ports.push(RegionPort {
-                mq: MultiQueue::with_policy(cfg.scheduler.build(), cfg.port_buffer_policy()),
-                marker: cfg.marking.build(&weights),
-                mark_point: cfg.mark_point,
-                busy: false,
-                link_rate_bps: e.link_rate_bps,
-                pool: pool_idx,
-                pool_port,
-            });
+            ports.push(Port::switch(cfg, e.link_rate_bps, pool_port));
         }
         let c = e.link_rate_bps.max(1);
         PacketRegion {
             ports,
             pools,
+            pool_of,
             link_to_port,
             flows: FlowSlab::new(),
             heap: BinaryHeap::new(),
@@ -267,7 +253,7 @@ impl PacketRegion {
             return 0;
         }
         self.ports[pi as usize]
-            .mq
+            .mq()
             .port_bytes()
             .saturating_mul(8_000_000_000)
             / self.link_rate_bps.max(1)
@@ -386,7 +372,7 @@ impl PacketRegion {
                 match kind {
                     EV_ARRIVAL => self.on_arrival(a, b as usize, now),
                     _ => {
-                        self.ports[a as usize].busy = false;
+                        self.ports[a as usize].finish();
                         self.try_transmit(a as usize, now);
                     }
                 }
@@ -431,8 +417,9 @@ impl PacketRegion {
         self.rates_changed = true;
     }
 
-    /// One ghost arrival of `flow` at hot hop `hop`: real enqueue-point
-    /// marking, real pool admission, then the pacer reschedules itself.
+    /// One ghost arrival of `flow` at hot hop `hop`: the port's arrival
+    /// (enqueue-point marking, pool admission), then the pacer
+    /// reschedules itself.
     fn on_arrival(&mut self, flow_id: u64, hop: usize, now: u64) {
         let Some(f) = self.flows.get(flow_id) else {
             return; // stale pacer of a departed flow
@@ -447,58 +434,13 @@ impl PacketRegion {
             flow_id,
             hop as u32,
         )));
-        // Pool occupancy mirrors `deliver_to_switch`: the shared pool's
-        // O(1) book-keeping, or the hot ports' sum for a per-pool scheme
-        // under static buffers.
-        let pool_idx = self.ports[pi].pool as usize;
-        let pool_occ: u64 = if self.pools[pool_idx].pool.is_shared() {
-            self.pools[pool_idx].pool.used_bytes()
-        } else {
-            match self.ports[pi].marker.as_ref() {
-                Some(m) if m.reads_pool() => self.pools[pool_idx]
-                    .ports
-                    .iter()
-                    .map(|&i| self.ports[i as usize].mq.port_bytes())
-                    .sum(),
-                _ => 0,
-            }
+        let ghost = RegionPkt {
+            enqueued_at_nanos: now,
+            flow_id,
+            ce: false,
         };
-        let mut marked = false;
-        {
-            let p = &mut self.ports[pi];
-            let q = queue as usize % p.mq.num_queues();
-            let mut pkt = RegionPkt {
-                enqueued_at_nanos: now,
-                flow_id,
-                ce: false,
-            };
-            if p.mark_point == MarkPoint::Enqueue {
-                if let Some(marker) = p.marker.as_mut() {
-                    let view = PacketPortView {
-                        mq: &p.mq,
-                        link_rate_bps: p.link_rate_bps,
-                        pool_bytes: Some(pool_occ),
-                        sojourn_nanos: None,
-                    };
-                    if marker.should_mark(&view, q).is_mark() {
-                        pkt.ce = true;
-                        marked = true;
-                    }
-                }
-            }
-            let pool = &mut self.pools[pool_idx].pool;
-            if pool.is_shared() {
-                if pool.try_admit(p.pool_port as usize, q, p.mq.queue_bytes(q), MTU_WIRE_BYTES)
-                    == Admit::Ok
-                    && p.mq.enqueue(q, pkt, now).is_ok()
-                {
-                    pool.commit(MTU_WIRE_BYTES);
-                }
-            } else {
-                let _ = p.mq.enqueue(q, pkt, now); // drop counted in the MultiQueue
-            }
-        }
-        if marked {
+        let pool = &mut self.pools[self.pool_of[pi] as usize];
+        if self.ports[pi].arrive(usize::from(queue), ghost, now, Some(pool)) {
             self.attribute_mark(flow_id, rtt);
         }
         if let Some(f) = self.flows.get_mut(flow_id) {
@@ -507,44 +449,14 @@ impl PacketRegion {
         self.try_transmit(pi, now);
     }
 
-    /// Real dequeue + dequeue-point marking, exactly the switch port's
-    /// transmit path — minus the wire, since ghosts die at the egress.
+    /// The port's departure (dequeue-point marking), exactly the switch
+    /// port's transmit path — minus the wire, since ghosts die at the
+    /// egress.
     fn try_transmit(&mut self, pi: usize, now: u64) {
-        if self.ports[pi].busy {
-            return;
-        }
-        let Some((q, pkt)) = self.ports[pi].mq.dequeue(now) else {
+        let pool = &mut self.pools[self.pool_of[pi] as usize];
+        let Some((_, ghost, marked)) = self.ports[pi].depart(now, Some(pool)) else {
             return;
         };
-        let pool_idx = self.ports[pi].pool as usize;
-        let pool_port = self.ports[pi].pool_port as usize;
-        if self.pools[pool_idx].pool.is_shared() {
-            self.pools[pool_idx]
-                .pool
-                .on_dequeue(pool_port, q, MTU_WIRE_BYTES, now);
-        }
-        let mut marked_flow = None;
-        {
-            let pool_used = {
-                let pool = &self.pools[pool_idx].pool;
-                pool.is_shared().then(|| pool.used_bytes())
-            };
-            let p = &mut self.ports[pi];
-            if p.mark_point == MarkPoint::Dequeue && !pkt.ce {
-                if let Some(marker) = p.marker.as_mut() {
-                    let view = PacketPortView {
-                        mq: &p.mq,
-                        link_rate_bps: p.link_rate_bps,
-                        pool_bytes: pool_used,
-                        sojourn_nanos: Some(now.saturating_sub(pkt.enqueued_at_nanos)),
-                    };
-                    if marker.should_mark(&view, q).is_mark() {
-                        marked_flow = Some(pkt.flow_id);
-                    }
-                }
-            }
-            p.busy = true;
-        }
         self.seq += 1;
         self.heap.push(Reverse((
             now + self.ser_nanos,
@@ -553,11 +465,11 @@ impl PacketRegion {
             pi as u64,
             0,
         )));
-        if let Some(fid) = marked_flow {
-            match self.flows.get(fid) {
+        if marked {
+            match self.flows.get(ghost.flow_id) {
                 Some(f) => {
                     let rtt = f.rtt_nanos;
-                    self.attribute_mark(fid, rtt);
+                    self.attribute_mark(ghost.flow_id, rtt);
                 }
                 None => self.orphan_marks += 1,
             }
@@ -587,15 +499,15 @@ impl PacketRegion {
     pub(super) fn finish(self) -> RegionSummary {
         let mut drops = 0u64;
         for p in &self.ports {
-            drops += p.mq.dropped_items();
+            drops += p.mq().dropped_items();
         }
         let mut shared = None;
-        for rp in &self.pools {
-            if rp.pool.is_shared() {
-                drops += rp.pool.shared_drops();
+        for pool in &self.pools {
+            if pool.is_shared() {
+                drops += pool.shared_drops();
                 shared
                     .get_or_insert_with(pmsb_metrics::contention::ContentionSummary::default)
-                    .absorb(&rp.pool.summary());
+                    .absorb(&pool.summary());
             }
         }
         RegionSummary {

@@ -24,10 +24,11 @@
 //! staleness event.
 //!
 //! Application rate caps are modelled as one virtual single-flow link
-//! per capped flow, appended after the real link id space; the uniform
-//! algorithm then handles caps with no special cases. Virtual links are
-//! excluded from the returned saturated set (a flow pinned at its own
-//! application cap is not congested).
+//! per flow capped below the line rate, appended after the real link id
+//! space; the uniform algorithm then handles caps with no special cases.
+//! A cap at or above the line rate constrains nothing, so it gets no
+//! link. Virtual links are excluded from the returned saturated set (a
+//! flow pinned at its own application cap is not congested).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -102,7 +103,7 @@ impl Solver {
         self.touched.clear();
 
         // Pass 1: count flows per link. Virtual links for application
-        // caps live past the real id space.
+        // caps below the line rate live past the real id space.
         let mut next_virtual = self.num_real_links;
         let virtual_of = &mut self.virtual_of;
         virtual_of.clear();
@@ -117,7 +118,7 @@ impl Solver {
                 }
                 self.nflows[l] += 1;
             }
-            if f.cap_bps != u64::MAX {
+            if f.cap_bps < link_rate_bps {
                 if next_virtual == self.cap.len() {
                     self.cap.push(0);
                     self.nflows.push(0);
@@ -203,9 +204,9 @@ impl Solver {
                     self.nflows[pl] -= 1;
                     self.cap[pl] = self.cap[pl].saturating_sub(share);
                 }
-                if f.cap_bps != u64::MAX {
+                let v = self.virtual_of[fi as usize];
+                if v != usize::MAX {
                     // Its virtual cap link too.
-                    let v = self.virtual_of[fi as usize];
                     self.nflows[v] -= 1;
                     self.cap[v] = self.cap[v].saturating_sub(share);
                 }
@@ -370,11 +371,8 @@ mod tests {
                     let path = (0..hops)
                         .map(|_| links.swap_remove(rng.below(links.len())))
                         .collect();
-                    // Caps stay at or below the line rate. Above it the
-                    // two disagree: the heap solver freezes a flow whose
-                    // links carry it alone at its cap, past the line rate.
                     let cap_bps = match rng.below(3) {
-                        0 => 1 + rng.below(link_rate_bps as usize) as u64,
+                        0 => 1 + rng.below(2 * link_rate_bps as usize) as u64,
                         _ => u64::MAX,
                     };
                     SolverFlow {

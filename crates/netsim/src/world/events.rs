@@ -85,8 +85,8 @@ impl World {
             };
             // Ports build their queues first, so one that has not
             // carried a packet yet keeps the new cap too.
-            for port in &mut self.switches[s].ports {
-                port.queues_mut(&self.switch_cfgs).mq.set_cap_bytes(bytes);
+            for (p, port) in self.switches[s].ports.iter_mut().enumerate() {
+                port.queues_mut(&self.switch_cfgs, p).set_cap_bytes(bytes);
             }
             return;
         }
@@ -95,10 +95,7 @@ impl World {
         let ends = self.link_ends(ev.target);
         let rt = self.faults.as_deref_mut().expect("checked above");
         for end in ends {
-            let st = match end {
-                LinkEnd::Host(h) => &mut rt.hosts[h],
-                LinkEnd::SwitchPort(s, p) => &mut rt.switches[s][p],
-            };
+            let st = rt.end_mut(end);
             match ev.kind {
                 FaultKind::LinkDown => st.up = false,
                 FaultKind::LinkUp => st.up = true,
@@ -115,10 +112,7 @@ impl World {
                 // Restart both ends: packets queued while the link was
                 // down are waiting for a transmit kick.
                 for end in ends {
-                    match end {
-                        LinkEnd::Host(h) => self.try_transmit_host(h, now, queue),
-                        LinkEnd::SwitchPort(s, p) => self.try_transmit_switch(s, p, now, queue),
-                    }
+                    self.try_transmit(end, now, queue);
                 }
             }
             _ => {}
@@ -170,16 +164,19 @@ impl EventHandler for World {
                     NodeRef::Switch(s) => self.deliver_to_switch(s, packet, now, queue),
                 }
             }
-            Event::TransmitDone { node, port } => match node {
-                NodeRef::Host(h) => {
-                    self.hosts[h].nic_busy = false;
-                    self.try_transmit_host(h, now, queue);
-                }
-                NodeRef::Switch(s) => {
-                    self.switches[s].ports[port].busy = false;
-                    self.try_transmit_switch(s, port, now, queue);
-                }
-            },
+            Event::TransmitDone { node, port } => {
+                let (end, nic_or_port) = match node {
+                    NodeRef::Host(h) => (LinkEnd::Host(h), self.hosts[h].nic.as_mut()),
+                    NodeRef::Switch(s) => (
+                        LinkEnd::SwitchPort(s, port),
+                        self.switches[s].ports[port].queues.as_mut(),
+                    ),
+                };
+                nic_or_port
+                    .expect("a port that transmitted is built")
+                    .finish();
+                self.try_transmit(end, now, queue);
+            }
             Event::Rto {
                 host,
                 flow_id,

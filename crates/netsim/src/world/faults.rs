@@ -10,13 +10,23 @@ use crate::trace::FaultReport;
 
 use super::{NodeRef, World};
 
-/// One directed end of a cable, for fault resolution.
+/// One directed end of a cable: the port that transmits onto it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LinkEnd {
     /// A host's NIC-side end.
     Host(usize),
     /// `(switch, port)` end.
     SwitchPort(usize, usize),
+}
+
+impl LinkEnd {
+    /// The transmitting node and its port index (0 for a host's NIC).
+    pub(crate) fn node(self) -> (NodeRef, usize) {
+        match self {
+            LinkEnd::Host(h) => (NodeRef::Host(h), 0),
+            LinkEnd::SwitchPort(s, p) => (NodeRef::Switch(s), p),
+        }
+    }
 }
 
 /// What the injector decided for one serialized packet.
@@ -73,6 +83,24 @@ pub(crate) struct FaultRuntime {
     /// `switches[s][p]` = state of switch `s` port `p`'s outgoing side.
     pub(crate) switches: Vec<Vec<LinkFaultState>>,
     pub(crate) report: FaultReport,
+}
+
+impl FaultRuntime {
+    /// The live fault state of `end`.
+    pub(crate) fn end(&self, end: LinkEnd) -> &LinkFaultState {
+        match end {
+            LinkEnd::Host(h) => &self.hosts[h],
+            LinkEnd::SwitchPort(s, p) => &self.switches[s][p],
+        }
+    }
+
+    /// The live fault state of `end`, mutably.
+    pub(crate) fn end_mut(&mut self, end: LinkEnd) -> &mut LinkFaultState {
+        match end {
+            LinkEnd::Host(h) => &mut self.hosts[h],
+            LinkEnd::SwitchPort(s, p) => &mut self.switches[s][p],
+        }
+    }
 }
 
 /// Salt namespace separating switch-port fault streams from host

@@ -1,27 +1,23 @@
 //! The endpoint layer: host NICs, sender output processing, and packet
 //! delivery into the transport endpoints.
 
-use pmsb::MarkPoint;
 use pmsb_metrics::fct::FlowRecord;
-use pmsb_sched::SchedItem as _;
-use pmsb_simcore::{EventQueue, SimDuration, SimTime};
+use pmsb_simcore::{EventQueue, SimTime};
 
 use crate::packet::{Packet, PacketKind};
 use crate::transport::{Receiver as _, Sender as _, SenderOutput, TransportReceiver};
 
-use super::port::PacketPortView;
-use super::{Event, Fate, FlowSlot, LinkAttach, NodeRef, PortQueues, SlotRef, World};
+use super::port::Port;
+use super::{Event, FlowSlot, LinkAttach, LinkEnd, SlotRef, World};
 
 /// An endpoint: one NIC queue towards its access switch, plus optional
 /// NIC-level ECN marking.
 pub(super) struct Host {
-    /// The NIC's queue and marker, `None` until its first packet; an
-    /// unbuilt NIC is an empty one.
-    pub(super) nic: Option<PortQueues>,
+    /// The NIC's [`Port`], `None` until its first packet; an unbuilt NIC
+    /// is an empty, idle one.
+    pub(super) nic: Option<Port<Packet>>,
     /// The host's config, as an index into `World::host_cfgs`.
     pub(super) cfg: u32,
-    pub(super) nic_mark_point: MarkPoint,
-    pub(super) nic_busy: bool,
     pub(super) link: Option<LinkAttach>,
 }
 
@@ -119,111 +115,19 @@ impl World {
     pub(super) fn host_enqueue(
         &mut self,
         host: usize,
-        mut pkt: Packet,
+        pkt: Packet,
         now: u64,
         queue: &mut EventQueue<Event>,
     ) {
-        pkt.enqueued_at_nanos = now;
         let h = &mut self.hosts[host];
-        let (cfgs, cfg) = (&self.host_cfgs, h.cfg as usize);
-        let PortQueues { mq, marker } = h.nic.get_or_insert_with(|| PortQueues::nic(&cfgs[cfg]));
+        let (cfg, rate_bps) = (&self.host_cfgs[h.cfg as usize], h.link.map(|l| l.rate_bps));
         // NIC-level ECN (one-queue port), mirroring NS-3's per-device
         // queue discs.
-        if h.nic_mark_point == MarkPoint::Enqueue && pkt.ect && !pkt.ce {
-            if let Some(marker) = marker.as_mut() {
-                let rate = h.link.map(|l| l.rate_bps).unwrap_or(10_000_000_000);
-                let view = PacketPortView {
-                    mq,
-                    link_rate_bps: rate,
-                    pool_bytes: None,
-                    sojourn_nanos: None,
-                };
-                if marker.should_mark(&view, 0).is_mark() {
-                    pkt.ce = true;
-                    self.marks += 1;
-                }
-            }
-        }
-        let _ = mq.enqueue(0, pkt, now);
-        self.try_transmit_host(host, now, queue);
-    }
-
-    pub(super) fn try_transmit_host(
-        &mut self,
-        host: usize,
-        now: u64,
-        queue: &mut EventQueue<Event>,
-    ) {
-        if let Some(rt) = self.faults.as_deref() {
-            if !rt.hosts[host].up {
-                return; // link down: packets stay parked in the NIC queue
-            }
-        }
-        let marks = &mut self.marks;
-        let h = &mut self.hosts[host];
-        if h.nic_busy {
-            return;
-        }
-        // A NIC without a queue has never held a packet.
-        let Some(PortQueues { mq, marker }) = h.nic.as_mut() else {
-            return;
-        };
-        let Some((_, mut pkt)) = mq.dequeue(now) else {
-            return;
-        };
-        if h.nic_mark_point == MarkPoint::Dequeue && pkt.ect && !pkt.ce {
-            if let Some(marker) = marker.as_mut() {
-                let rate = h.link.map(|l| l.rate_bps).unwrap_or(10_000_000_000);
-                let view = PacketPortView {
-                    mq,
-                    link_rate_bps: rate,
-                    pool_bytes: None,
-                    sojourn_nanos: Some(now.saturating_sub(pkt.enqueued_at_nanos)),
-                };
-                if marker.should_mark(&view, 0).is_mark() {
-                    pkt.ce = true;
-                    *marks += 1;
-                }
-            }
-        }
-        let link = h.link.expect("host transmits without a link");
-        h.nic_busy = true;
-        let mut rate_bps = link.rate_bps;
-        let mut fate = Fate::Clean;
-        if let Some(rt) = self.faults.as_deref_mut() {
-            let st = &mut rt.hosts[host];
-            if let Some(r) = st.rate_bps {
-                rate_bps = r;
-            }
-            fate = st.fate();
-            if matches!(fate, Fate::Lost) {
-                rt.report.injected_drops += 1;
-            }
-        }
-        let ser = SimDuration::for_bytes(pkt.len_bytes(), rate_bps).as_nanos();
-        queue.push(
-            SimTime::from_nanos(now + ser),
-            Event::TransmitDone {
-                node: NodeRef::Host(host),
-                port: 0,
-            },
-        );
-        match fate {
-            // The wire time was spent but the packet never arrives.
-            Fate::Lost => {}
-            fate => {
-                if matches!(fate, Fate::Corrupted) {
-                    pkt.corrupted = true;
-                }
-                queue.push(
-                    SimTime::from_nanos(now + ser + link.delay_nanos),
-                    Event::Deliver {
-                        node: link.peer,
-                        packet: pkt,
-                    },
-                );
-            }
-        }
+        let nic = h
+            .nic
+            .get_or_insert_with(|| Port::nic(cfg, rate_bps.expect("a host sends only once wired")));
+        self.marks += u64::from(nic.arrive(0, pkt, now, None));
+        self.try_transmit(LinkEnd::Host(host), now, queue);
     }
 
     pub(super) fn deliver_to_host(

@@ -14,9 +14,10 @@
 //! The module splits by layer: this file holds the network structure
 //! (wiring, run lifecycle), `types` the plain data (flow
 //! descriptors, the per-flow transport slot, run results), `faults` the
-//! fault-injection runtime, `port` the embeddable marking-view adapter
-//! shared with the flow-level engines, `host` the endpoint/NIC layer,
-//! `switch` the port layer, and `events` the event pump. The transport
+//! fault-injection runtime, `port` the one port type every switch port,
+//! NIC and flow-level packet runtime queues through, `host` the
+//! endpoint/NIC layer, `switch` the switch layer and the transmit path,
+//! and `events` the event pump. The transport
 //! the endpoints run is selected by [`TransportConfig::kind`] — see
 //! [`crate::transport`].
 
@@ -35,14 +36,11 @@ use types::add_sender_stats;
 use std::collections::HashMap;
 use std::ops::Range;
 
-use pmsb::marking::MarkingScheme;
 use pmsb_metrics::fct::FctRecorder;
 use pmsb_metrics::QuantileSketch;
-use pmsb_sched::{Fifo, MultiQueue};
 use pmsb_simcore::{EventQueue, SimTime, Simulation};
 
 use crate::config::{HostConfig, SwitchConfig, TransportConfig};
-use crate::packet::Packet;
 use crate::slab::{FlowSlab, SlotRef};
 use crate::trace::{PortTrace, TraceConfig};
 use crate::transport::{Sender as _, SenderStats, TransportSender};
@@ -58,7 +56,7 @@ pub struct World {
     hosts: Vec<Host>,
     switches: Vec<Switch>,
     /// The distinct configs ports were wired with; a port keeps an
-    /// index here and builds its [`PortQueues`] from it on first use.
+    /// index here and builds its [`port::Port`] from it on first use.
     switch_cfgs: Vec<SwitchConfig>,
     /// The distinct configs hosts were added with, as `switch_cfgs`.
     host_cfgs: Vec<HostConfig>,
@@ -155,8 +153,6 @@ impl World {
         self.hosts.push(Host {
             nic: None,
             cfg: cfg_idx,
-            nic_mark_point: cfg.nic_mark_point,
-            nic_busy: false,
             link: None,
         });
         self.hosts.len() - 1
@@ -179,15 +175,13 @@ impl World {
         SwitchPort {
             queues: None,
             cfg: intern(&mut self.switch_cfgs, cfg),
-            mark_point: cfg.mark_point,
-            busy: false,
             link,
             trace: None,
         }
     }
 
     /// Books a freshly-wired port's buffer budget into its switch's
-    /// shared pool (a no-op pass-through under `Static`).
+    /// shared pool (which only counts under `Static`).
     fn pool_attach(&mut self, switch: usize, cfg: &SwitchConfig, rate_bps: u64) {
         self.switches[switch].pool.attach_port(
             cfg.buffer,
@@ -286,7 +280,7 @@ impl World {
     pub fn set_trace(&mut self, trace: TraceConfig) {
         for (s, p) in &trace.watch_ports {
             let port = &mut self.switches[*s].ports[*p];
-            let num_queues = port.queues_mut(&self.switch_cfgs).mq.num_queues();
+            let num_queues = port.queues_mut(&self.switch_cfgs, *p).mq().num_queues();
             port.trace = Some(PortTrace::new(num_queues, trace.throughput_bin_nanos));
         }
         self.trace = trace;
@@ -488,7 +482,7 @@ impl World {
         let mut stats = HashMap::new();
         let mut drops = 0u64;
         for h in &self.hosts {
-            drops += h.nic.as_ref().map_or(0, |n| n.mq.dropped_items());
+            drops += h.nic.as_ref().map_or(0, |n| n.mq().dropped_items());
         }
         if self.stream.is_none() {
             for slot in self.slab.values() {
@@ -523,7 +517,7 @@ impl World {
         let mut shared_buffer = None;
         for (si, sw) in self.switches.iter_mut().enumerate() {
             for (pi, port) in sw.ports.iter_mut().enumerate() {
-                drops += port.queues.as_ref().map_or(0, |q| q.mq.dropped_items());
+                drops += port.queues.as_ref().map_or(0, |q| q.mq().dropped_items());
                 if let Some(t) = port.trace.take() {
                     traces.insert((si, pi), t);
                 }
@@ -550,39 +544,6 @@ impl World {
             stream,
             shared_buffer,
             engine_path: EnginePath::Packet,
-        }
-    }
-}
-
-/// A port's queueing state: its service queues with their boxed
-/// scheduler, and its marking scheme. Switch ports and host NICs build
-/// it on their first packet, so a port no packet crosses costs only its
-/// link. Building reads no clock and no RNG: an unbuilt port behaves
-/// exactly as an idle built one, and every reader takes it as empty.
-struct PortQueues {
-    mq: MultiQueue<Packet>,
-    marker: Option<Box<dyn MarkingScheme>>,
-}
-
-// Each port builds once, so the builders stay out of line, off the
-// packet path they are called from.
-impl PortQueues {
-    #[cold]
-    #[inline(never)]
-    fn switch_port(cfg: &SwitchConfig) -> Self {
-        PortQueues {
-            mq: MultiQueue::with_policy(cfg.scheduler.build(), cfg.port_buffer_policy()),
-            marker: cfg.marking.build(&cfg.scheduler.weights()),
-        }
-    }
-
-    /// A NIC: one FIFO queue, with NIC-level marking.
-    #[cold]
-    #[inline(never)]
-    fn nic(cfg: &HostConfig) -> Self {
-        PortQueues {
-            mq: MultiQueue::new(Box::new(Fifo::new()), cfg.nic_buffer_bytes),
-            marker: cfg.nic_marking.build(&[1]),
         }
     }
 }

@@ -2,9 +2,11 @@
 
 //! Multi-queue packet schedulers for switch output ports.
 //!
-//! A switch port owns a [`MultiQueue`] — a set of FIFO service queues with
-//! shared-buffer accounting and tail drop — and a [`Scheduler`] policy that
-//! picks which queue transmits next:
+//! A switch port owns a [`MultiQueue`] — a set of FIFO service queues
+//! under one byte cap, with tail drop — and a [`Scheduler`] policy that
+//! picks which queue transmits next. How a switch shares memory across
+//! its ports is not this crate's concern: the simulator's shared pool
+//! lifts the cap and admits above it. The policies:
 //!
 //! * [`Fifo`] — a single queue (host NICs, single-service ports),
 //! * [`StrictPriority`] — lower queue index always wins,
@@ -31,7 +33,7 @@
 //!     fn len_bytes(&self) -> u64 { self.0 }
 //! }
 //!
-//! // Two queues, 1:1 weights, 1 MB shared buffer.
+//! // Two queues, 1:1 weights, a 1 MB cap.
 //! let mut mq = MultiQueue::new(Box::new(Dwrr::new(vec![1, 1], 1500)), 1_000_000);
 //! mq.enqueue(0, Pkt(1500), 0).unwrap();
 //! mq.enqueue(1, Pkt(1500), 0).unwrap();
@@ -53,7 +55,7 @@ mod wrr;
 pub use dwrr::Dwrr;
 pub use fifo::Fifo;
 pub use hier::HierSpWfq;
-pub use multi_queue::{BufferPolicy, MultiQueue};
+pub use multi_queue::MultiQueue;
 pub use round::RoundTimeEstimator;
 pub use sp::StrictPriority;
 pub use wfq::Wfq;

@@ -1,60 +1,17 @@
-//! The per-port multi-queue buffer with shared-buffer tail drop.
+//! The per-port multi-queue buffer with tail drop at a byte cap.
 
 use std::collections::VecDeque;
 
 use crate::{QueueState, SchedItem, Scheduler};
 
-/// How the shared buffer admits arriving items.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BufferPolicy {
-    /// One static byte budget for the whole port; any queue may fill it
-    /// (plain tail drop). The classic output-queued default.
-    SharedStatic {
-        /// Total bytes available to the port.
-        cap_bytes: u64,
-    },
-    /// Dynamic Threshold (Choudhury & Hahne), the commodity shared-buffer
-    /// policy: a queue may only grow while its own occupancy is below
-    /// `alpha × (cap − total occupancy)`, so no queue can monopolize the
-    /// pool and freshly-active queues always find room.
-    DynamicThreshold {
-        /// Total bytes available to the port.
-        cap_bytes: u64,
-        /// The DT scale factor (commodity defaults are 0.5–8).
-        alpha: f64,
-    },
-}
-
-impl BufferPolicy {
-    /// The total pool size in bytes.
-    pub fn cap_bytes(&self) -> u64 {
-        match self {
-            BufferPolicy::SharedStatic { cap_bytes }
-            | BufferPolicy::DynamicThreshold { cap_bytes, .. } => *cap_bytes,
-        }
-    }
-
-    /// Whether an item of `bytes` may enter queue `q`.
-    fn admits(&self, queue_bytes: u64, port_bytes: u64, bytes: u64) -> bool {
-        match self {
-            BufferPolicy::SharedStatic { cap_bytes } => port_bytes + bytes <= *cap_bytes,
-            BufferPolicy::DynamicThreshold { cap_bytes, alpha } => {
-                if port_bytes + bytes > *cap_bytes {
-                    return false;
-                }
-                let free = (*cap_bytes - port_bytes) as f64;
-                (queue_bytes + bytes) as f64 <= alpha * free
-            }
-        }
-    }
-}
-
-/// A set of FIFO service queues sharing one buffer pool, served by a
+/// A set of FIFO service queues sharing one byte cap, served by a
 /// pluggable [`Scheduler`].
 ///
 /// This models one output port of a commodity switch: typically 4–8 queues
-/// drawing from a shared per-port byte budget, tail-dropping arrivals that
-/// would overflow it.
+/// drawing from one per-port byte budget, tail-dropping arrivals that
+/// would overflow it. Memory shared across a switch's ports is the
+/// simulator's business, above this type: it lifts the cap and admits
+/// through its own pool.
 ///
 /// # Example
 ///
@@ -78,7 +35,7 @@ pub struct MultiQueue<T: SchedItem> {
     queues: Vec<VecDeque<T>>,
     queue_bytes: Vec<u64>,
     port_bytes: u64,
-    policy: BufferPolicy,
+    cap_bytes: u64,
     dropped_items: u64,
     dropped_bytes: u64,
     scheduler: Box<dyn Scheduler>,
@@ -89,33 +46,19 @@ pub struct MultiQueue<T: SchedItem> {
 
 impl<T: SchedItem> MultiQueue<T> {
     /// Creates a multi-queue with the scheduler's queue count and a
-    /// static shared buffer of `cap_bytes` (see
-    /// [`MultiQueue::with_policy`] for Dynamic Threshold).
+    /// byte cap of `cap_bytes` shared by its queues.
     ///
     /// # Panics
     ///
     /// Panics if the scheduler declares zero queues.
     pub fn new(scheduler: Box<dyn Scheduler>, cap_bytes: u64) -> Self {
-        MultiQueue::with_policy(scheduler, BufferPolicy::SharedStatic { cap_bytes })
-    }
-
-    /// Creates a multi-queue with an explicit buffer admission policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheduler declares zero queues or a
-    /// [`BufferPolicy::DynamicThreshold`] has a non-positive `alpha`.
-    pub fn with_policy(scheduler: Box<dyn Scheduler>, policy: BufferPolicy) -> Self {
         let n = scheduler.num_queues();
         assert!(n > 0, "a port needs at least one queue");
-        if let BufferPolicy::DynamicThreshold { alpha, .. } = policy {
-            assert!(alpha > 0.0, "DT alpha must be positive, got {alpha}");
-        }
         MultiQueue {
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             queue_bytes: vec![0; n],
             port_bytes: 0,
-            policy,
+            cap_bytes,
             dropped_items: 0,
             dropped_bytes: 0,
             scheduler,
@@ -127,18 +70,15 @@ impl<T: SchedItem> MultiQueue<T> {
     ///
     /// # Errors
     ///
-    /// Returns the item back when admitting it would overflow the shared
-    /// buffer (tail drop); the drop counters are incremented.
+    /// Returns the item back when admitting it would overflow the cap
+    /// (tail drop); the drop counters are incremented.
     ///
     /// # Panics
     ///
     /// Panics if `q` is out of range.
     pub fn enqueue(&mut self, q: usize, item: T, now_nanos: u64) -> Result<(), T> {
         let bytes = item.len_bytes();
-        if !self
-            .policy
-            .admits(self.queue_bytes[q], self.port_bytes, bytes)
-        {
+        if self.port_bytes + bytes > self.cap_bytes {
             self.dropped_items += 1;
             self.dropped_bytes += bytes;
             return Err(item);
@@ -202,27 +142,17 @@ impl<T: SchedItem> MultiQueue<T> {
         self.port_bytes
     }
 
-    /// The shared-buffer capacity in bytes.
+    /// The byte cap.
     pub fn cap_bytes(&self) -> u64 {
-        self.policy.cap_bytes()
+        self.cap_bytes
     }
 
-    /// Re-caps the shared buffer at `cap_bytes`, keeping the admission
-    /// policy (fault injection's buffer-shrink event). Items already
-    /// buffered beyond a smaller cap are not evicted — the new cap only
-    /// gates admission, like reprogramming a real switch's pool size.
+    /// Re-caps the buffer at `cap_bytes` (fault injection's buffer-shrink
+    /// event). Items already buffered beyond a smaller cap are not
+    /// evicted — the new cap only gates admission, like reprogramming a
+    /// real switch's pool size.
     pub fn set_cap_bytes(&mut self, cap_bytes: u64) {
-        self.policy = match self.policy {
-            BufferPolicy::SharedStatic { .. } => BufferPolicy::SharedStatic { cap_bytes },
-            BufferPolicy::DynamicThreshold { alpha, .. } => {
-                BufferPolicy::DynamicThreshold { cap_bytes, alpha }
-            }
-        };
-    }
-
-    /// The buffer admission policy.
-    pub fn buffer_policy(&self) -> BufferPolicy {
-        self.policy
+        self.cap_bytes = cap_bytes;
     }
 
     /// `true` if every queue is empty.
@@ -252,7 +182,7 @@ impl<T: SchedItem> std::fmt::Debug for MultiQueue<T> {
             .field("scheduler", &self.scheduler.name())
             .field("queue_bytes", &self.queue_bytes)
             .field("port_bytes", &self.port_bytes)
-            .field("policy", &self.policy)
+            .field("cap_bytes", &self.cap_bytes)
             .field("dropped_items", &self.dropped_items)
             .finish()
     }
@@ -333,66 +263,5 @@ mod tests {
     #[should_panic(expected = "at least one queue")]
     fn zero_queue_scheduler_rejected() {
         let _ = MultiQueue::<B>::new(Box::new(StrictPriority::new(0)), 10);
-    }
-
-    #[test]
-    fn dynamic_threshold_stops_a_hog_queue() {
-        // alpha = 1: a queue may hold at most as much as remains free, so
-        // one queue can never take more than half the pool.
-        let mut mq = MultiQueue::with_policy(
-            Box::new(StrictPriority::new(2)),
-            BufferPolicy::DynamicThreshold {
-                cap_bytes: 1000,
-                alpha: 1.0,
-            },
-        );
-        let mut admitted = 0;
-        while mq.enqueue(0, B(100), 0).is_ok() {
-            admitted += 1;
-        }
-        assert_eq!(admitted, 5, "hog capped at alpha/(1+alpha) of the pool");
-        // The other queue still finds room (a static policy would too at
-        // this point, but the hog could never have filled the pool).
-        assert!(mq.enqueue(1, B(100), 0).is_ok());
-    }
-
-    #[test]
-    fn dynamic_threshold_total_never_exceeds_cap() {
-        let mut mq = MultiQueue::with_policy(
-            Box::new(StrictPriority::new(4)),
-            BufferPolicy::DynamicThreshold {
-                cap_bytes: 1000,
-                alpha: 8.0,
-            },
-        );
-        for round in 0..100 {
-            let _ = mq.enqueue(round % 4, B(90), 0);
-        }
-        assert!(mq.port_bytes() <= 1000);
-        assert!(mq.dropped_items() > 0);
-    }
-
-    #[test]
-    fn static_policy_unchanged_by_refactor() {
-        let mut mq = MultiQueue::with_policy(
-            Box::new(StrictPriority::new(2)),
-            BufferPolicy::SharedStatic { cap_bytes: 250 },
-        );
-        mq.enqueue(0, B(100), 0).unwrap();
-        mq.enqueue(0, B(100), 0).unwrap();
-        assert!(mq.enqueue(1, B(100), 0).is_err(), "pool full for everyone");
-        assert_eq!(mq.cap_bytes(), 250);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be positive")]
-    fn dt_rejects_bad_alpha() {
-        let _ = MultiQueue::<B>::with_policy(
-            Box::new(StrictPriority::new(1)),
-            BufferPolicy::DynamicThreshold {
-                cap_bytes: 10,
-                alpha: 0.0,
-            },
-        );
     }
 }
